@@ -9,9 +9,9 @@ measuring convergence rates as the noise vanishes.
 """
 
 from .cadlag import (CadlagPath, Segment, TimeDistortion, aligning_cost_bound,
-                     aligning_slope_deviation_bound, build_aligning_distortion,
-                     distortion_cost, read_path_csv, skorohod_oracle, skorohod_upper,
-                     uniform_distance, write_path_csv)
+                     aligning_slope_deviation_bound, batch_skorohod_upper,
+                     build_aligning_distortion, distortion_cost, read_path_csv,
+                     skorohod_oracle, skorohod_upper, uniform_distance, write_path_csv)
 from .errors import (AlignmentError, BoundSearchError, ComplexityGuardError, ConfigError,
                      DataError, DomainError, HorizonError, ImpulseLabError,
                      InvalidDistortionError, InvalidInputError, ParameterError,
@@ -22,7 +22,7 @@ from .fluctuation import FluctuationPath, first_order_approximation, fluctuation
 from .fpt import (FptParams, derived_tail_constant, fpt_cdf, fpt_density, fpt_laplace,
                   fpt_tail_bound, renewal_mgf_bound)
 from .stochastic import (BatchResult, BrownianRecord, GoodSetRecord, NoiseParams,
-                         classify_good_set, good_set_probability_bound,
+                         classify_good_set, good_set_mask, good_set_probability_bound,
                          replica_seed_sequence, simulate_batch, simulate_path)
 from .system import (DeterministicSolution, DriftModel, ImpulseSchedule, ResetModel,
                      SimulationGrid, SystemSpec, constant_drift, deterministic_trajectory,
@@ -40,12 +40,13 @@ __all__ = [
     "InvalidDistortionError", "InvalidInputError", "NoiseParams", "ParameterError",
     "RateFit", "ResetModel", "ResolutionError", "RunConfig", "RunawayError",
     "Segment", "ShapeError", "SimulationGrid", "SystemSpec", "TimeDistortion",
-    "aligning_cost_bound", "aligning_slope_deviation_bound",
+    "aligning_cost_bound", "aligning_slope_deviation_bound", "batch_skorohod_upper",
     "build_aligning_distortion", "classify_good_set", "clt_experiment",
     "constant_drift", "derived_tail_constant", "deterministic_trajectory",
     "distortion_cost", "emit", "first_order_approximation", "fit_rate",
     "fluctuation_path", "fpt_cdf", "fpt_density", "fpt_laplace", "fpt_tail_bound",
-    "good_set_probability_bound", "impact_count", "integrate_deterministic",
+    "good_set_mask", "good_set_probability_bound", "impact_count",
+    "integrate_deterministic",
     "ks_test", "linear_reset", "lln_experiment", "load_config", "read_path_csv",
     "renewal_mgf_bound", "replica_seed_sequence", "saturating_reset",
     "simulate_batch", "simulate_path", "simulation_grid", "skorohod_oracle",

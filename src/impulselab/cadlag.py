@@ -285,6 +285,246 @@ def build_aligning_distortion(det_times, stoch_times, horizon: float, good: bool
     return TimeDistortion(kt, kv, horizon)
 
 
+# Query points scored at once by batch_skorohod_upper. About fifteen float
+# arrays of this length are alive per block, so a block's temporaries stay
+# near 4 MB whatever the replica count.
+_POINT_BUDGET = 1 << 15
+_NO_JUMPS = np.empty(0, dtype=np.intp)
+
+
+def _grid_steps(values, pre, post, jump_index, steps):
+    """Start value and slope of every grid step of a path jumping at grid
+    indices `jump_index`: the post-jump value starts the step at a jump and
+    the pre-jump value ends the step before it. The extra last entry is the
+    horizon sample with slope 0, so index j serves every t in
+    [times[j], times[j+1]) and t = T."""
+    start = np.array(values, dtype=float)
+    start[..., jump_index] = post
+    end = start[..., 1:].copy()
+    end[..., jump_index - 1] = pre
+    slope = np.zeros_like(start)
+    slope[..., :-1] = (end - start[..., :-1]) / steps
+    return start, slope
+
+
+class _ReplicaBlock:
+    """A block of noisy replicas and their distortions as flat arrays.
+
+    Values are computed with np.interp's arithmetic (slope * (x - x_j) + y_j,
+    y_j exactly at a knot), which makes every distance bitwise equal to
+    skorohod_upper on the path objects.
+    """
+
+    def __init__(self, times, steps, knots, alpha, r, theta, tau, pre, post, counts, good):
+        self.times, self.knots, self.alpha, self.good = times, knots, alpha, good
+        size, n_points = r.shape
+        self.offsets = (np.arange(size) * n_points)[:, None]
+        self.knot_offsets = (np.arange(size) * knots.shape[0])[:, None]
+        self.r = _grid_steps(r, 0.0, 0.0, _NO_JUMPS, steps)
+        self.theta = _grid_steps(theta, 0.0, 0.0, _NO_JUMPS, steps)
+        # Good rows map the deterministic jump times onto their noisy twins;
+        # the others keep the identity, whose arithmetic is exact.
+        kv = np.tile(knots, (size, 1))
+        kv[good, 1:-1] = tau[good, : knots.shape[0] - 2]
+        forward = np.diff(kv, axis=1) / np.diff(knots)
+        self.cost = np.max(np.abs(np.log(forward)), axis=1)
+        self.kv = kv
+        self.forward = np.pad(forward, ((0, 0), (0, 1)))
+        self.backward = np.pad(np.diff(knots) / np.diff(kv, axis=1), ((0, 0), (0, 1)))
+        width = max(int(counts.max(initial=0)), 1)
+        self.tau, self.pre, self.post = tau[:, :width], pre[:, :width], post[:, :width]
+        self.counts = counts
+        # Steps whose closed span [t_j, t_j+1] holds a noisy jump: only there
+        # do the grid samples not describe the noisy path.
+        rows, cols = np.nonzero(np.arange(width) < counts[:, None])
+        jumps = self.tau[rows, cols]
+        step = np.searchsorted(times, jumps, side="right") - 1
+        self.flag = np.zeros((size, n_points), dtype=bool)
+        self.flag[rows, step] = True
+        on_grid = (times[step] == jumps) & (step > 0)
+        self.flag[rows[on_grid], step[on_grid] - 1] = True
+
+    def lam(self, t):
+        """lambda(t) row by row; t is (rows, k), or (k,) shared by all rows."""
+        j = np.searchsorted(self.knots, t, side="right") - 1
+        flat = self.knot_offsets + j
+        u = self.forward.take(flat) * (t - self.knots[j]) + self.kv.take(flat)
+        return np.where(self.good[:, None], u, t)
+
+    def lam_inv(self, s):
+        """lambda^{-1}(s) row by row."""
+        j = np.zeros(np.broadcast_shapes(np.shape(s), (self.kv.shape[0], 1)), dtype=np.intp)
+        for c in range(1, self.kv.shape[1]):
+            j += s >= self.kv[:, c:c + 1]
+        flat = self.knot_offsets + j
+        t = self.backward.take(flat) * (s - self.kv.take(flat)) + self.knots[j]
+        return np.where(self.good[:, None], t, s)
+
+    def noisy_at(self, u):
+        """Right values of the noisy paths at u, plus the flat indices where u
+        is a noisy jump time and the radius just before that jump."""
+        j = np.searchsorted(self.times, u, side="right") - 1
+        flat = self.offsets + j
+        du = u - self.times[j]
+        (r0, r_slope), (th0, th_slope) = self.r, self.theta
+        r = r_slope.take(flat) * du + r0.take(flat)
+        th = th_slope.take(flat) * du + th0.take(flat)
+        fix = np.flatnonzero(self.flag.take(flat))
+        if fix.size == 0:
+            return r, th, fix, np.empty(0)
+        # Queries in a step that holds a jump: interpolate between the knots
+        # of the segment they fall in, as CadlagPath does.
+        row = fix // u.shape[1]
+        uq, jq = u.ravel()[fix], j.ravel()[fix]
+        taus, cnt = self.tau[row], self.counts[row]
+        k = np.count_nonzero((np.arange(taus.shape[1]) < cnt[:, None]) & (taus <= uq[:, None]),
+                             axis=1)
+        col = np.arange(fix.shape[0])
+        prev, nxt = np.maximum(k - 1, 0), np.minimum(k, taus.shape[1] - 1)
+        start = np.where(k > 0, taus[col, prev], -np.inf)
+        end = np.where(k < cnt, taus[col, nxt], np.inf)
+        j_next = np.minimum(jq + 1, self.times.shape[0] - 1)
+        from_jump = start >= self.times[jq]
+        to_jump = end <= self.times[j_next]
+        t_left = np.where(from_jump, start, self.times[jq])
+        t_right = np.where(to_jump, end, self.times[j_next])
+        left, right = flat.ravel()[fix], flat.ravel()[fix] - jq + j_next
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for values, (grid, _), at_start, at_end in (
+                    (r, self.r, self.post[row, prev], self.pre[row, nxt]),
+                    (th, self.theta, 0.0, self.alpha)):
+                y_left = np.where(from_jump, at_start, grid.take(left))
+                y_right = np.where(to_jump, at_end, grid.take(right))
+                slope = (y_right - y_left) / (t_right - t_left)
+                values.ravel()[fix] = np.where(uq == t_left, y_left,
+                                               slope * (uq - t_left) + y_left)
+        at_jump = (k > 0) & (uq == start)
+        return r, th, fix[at_jump], self.pre[row, prev][at_jump]
+
+    def scan(self, t, firsts, theta_steps, jump_order, sup2):
+        """Fold sup |x1(t) - x2(lambda(t))|^2 over one query array into `sup2`,
+        one entry per first path. t=None means the grid itself."""
+        if t is None:
+            t = self.times
+            r1 = [steps[0] for steps, _ in firsts]
+            th1 = theta_steps[0]
+            width = t.shape[0]
+            jumps1 = (self.offsets + np.flatnonzero(jump_order >= 0)).ravel()
+            order1 = np.tile(jump_order[jump_order >= 0], self.good.shape[0])
+        else:
+            width = t.shape[1]
+            j1 = np.searchsorted(self.times, t, side="right") - 1
+            d1 = t - self.times[j1]
+            th1 = theta_steps[1][j1] * d1 + theta_steps[0][j1]
+            r1 = []
+            for (start, slope), _ in firsts:
+                if start.ndim == 1:
+                    r1.append(slope[j1] * d1 + start[j1])
+                else:
+                    idx = self.offsets + j1
+                    r1.append(slope.take(idx) * d1 + start.take(idx))
+            on_grid = np.flatnonzero(d1 == 0)
+            order = jump_order[j1.ravel()[on_grid]]
+            jumps1, order1 = on_grid[order >= 0], order[order >= 0]
+        u = self.lam(t)
+        r2, th2, jumps2, pre2 = self.noisy_at(u)
+        dth = th1 - th2
+        dth2 = dth * dth
+        for s2, r in zip(sup2, r1):
+            dr = r - r2
+            np.maximum(s2, np.max(dr * dr + dth2, axis=1), out=s2)
+        if jumps1.size == 0 and jumps2.size == 0:
+            return
+        # Left limits differ from right values only at jump points.
+        points = np.union1d(jumps1, jumps2)
+        row = points // width
+        at1 = np.searchsorted(points, jumps1)
+        at2 = np.searchsorted(points, jumps2)
+        th1_left = _pick(th1, points, width)
+        th1_left[at1] = self.alpha
+        r2_left = r2.ravel()[points]
+        r2_left[at2] = pre2
+        th2_left = th2.ravel()[points]
+        th2_left[at2] = self.alpha
+        dth = th1_left - th2_left
+        for s2, r, (_, pre1) in zip(sup2, r1, firsts):
+            r1_left = _pick(r, points, width)
+            r1_left[at1] = pre1[order1] if pre1.ndim == 1 else pre1[row[at1], order1]
+            dr = r1_left - r2_left
+            np.maximum.at(s2, row, dr * dr + dth * dth)
+
+
+def _pick(a, flat, width):
+    """Entries of a (rows, width) array, or of one row shared by all rows."""
+    return a[flat % width] if a.ndim == 1 else a.ravel()[flat]
+
+
+def batch_skorohod_upper(times, jump_index, alpha, det, noisy, good, trace=None,
+                         epsilon: float = 0.0):
+    """:func:`skorohod_upper` for a batch of planar replicas on one shared grid.
+
+    Every path is sampled on `times` (the grid, ending at the horizon) and
+    its state is (radius, angle); the angle jumps from `alpha` to 0 at each
+    jump. `det = (r, theta, pre, post)` is the deterministic path: grid
+    samples, and the radii just before and after its jumps, which sit at the
+    grid indices `jump_index`. `noisy = (r, theta, tau, pre, post, counts)`
+    holds M replicas laid out as in ``BatchResult``: grid samples of shape
+    (n + 1, M), impulse arrays of shape (M, n_max) valid up to `counts`.
+    Replica i is compared under the aligning distortion through
+    (times[jump_index], tau[i]) when `good[i]`, else under the identity.
+
+    Returns ``(to_det, to_first_order)``, each of shape (M,). The second
+    compares with the first-order path ``det + epsilon * trace`` in the
+    radius, where ``trace = (values, pre, post)`` is the output of
+    ``fluctuation_trace``; it is None without a trace. Each entry equals
+    ``skorohod_upper`` on the corresponding path objects, because the sup
+    runs over the same points, grid ∪ λ⁻¹(grid ∪ tau) ∪ knots, with right
+    values everywhere and left limits at the jump points.
+    """
+    times = np.asarray(times, dtype=float)
+    jump_index = np.asarray(jump_index, dtype=np.intp)
+    det_r, det_theta, det_pre, det_post = (np.asarray(a, dtype=float) for a in det)
+    r_values, theta_values, tau, pre, post, counts = noisy
+    tau, counts, good = np.asarray(tau, dtype=float), np.asarray(counts), np.asarray(good, bool)
+    n_points, n_jumps = times.shape[0], jump_index.shape[0]
+    knots = np.concatenate([[0.0], times[jump_index], [times[-1]]])
+    if good.any():
+        legs = np.diff(tau[good, :n_jumps], axis=1, prepend=0.0, append=times[-1])
+        if np.any(counts[good] != n_jumps) or not np.all(legs > 0):
+            raise InvalidInputError("a good replica needs one increasing impulse time per "
+                                    "deterministic jump, inside (0, T)")
+    steps = np.diff(times)
+    det_steps = _grid_steps(det_r, det_pre, det_post, jump_index, steps)
+    th0, th_slope = _grid_steps(det_theta, alpha, 0.0, jump_index, steps)
+    jump_order = np.full(n_points, -1)
+    jump_order[jump_index] = np.arange(n_jumps)
+    m = counts.shape[0]
+    out = [np.empty(m) for _ in range(1 if trace is None else 2)]
+    size = max(1, _POINT_BUDGET // n_points)
+    for lo in range(0, m, size):
+        rows = slice(lo, min(m, lo + size))
+        block = _ReplicaBlock(times, steps, knots, alpha,
+                              np.ascontiguousarray(r_values[:, rows].T),
+                              np.ascontiguousarray(theta_values[:, rows].T),
+                              tau[rows], np.asarray(pre)[rows], np.asarray(post)[rows],
+                              counts[rows], good[rows])
+        firsts = [(det_steps, det_pre)]
+        if trace is not None:
+            values, t_pre, t_post = (np.asarray(a, dtype=float)[:, rows].T for a in trace)
+            fo_pre = det_pre + epsilon * t_pre
+            firsts.append((_grid_steps(det_r + epsilon * values, fo_pre,
+                                       det_post + epsilon * t_post, jump_index, steps), fo_pre))
+        sup2 = [np.zeros(block.good.shape[0]) for _ in firsts]
+        # grid, lambda^-1(grid), lambda^-1(tau); unused impulse slots query t = 0.
+        valid = np.arange(block.tau.shape[1]) < block.counts[:, None]
+        inv_tau = block.lam_inv(np.where(valid, block.tau, 0.0))
+        for t in (None, block.lam_inv(times), inv_tau):
+            block.scan(t, firsts, (th0, th_slope), jump_order, sup2)
+        for dest, s2 in zip(out, sup2):
+            dest[rows] = np.maximum(block.cost, np.sqrt(s2))
+    return out[0], (out[1] if trace is not None else None)
+
+
 def aligning_cost_bound(delta: float, alpha: float, horizon: float) -> float:
     """Bound 4*T*delta/alpha on the cost of an aligning distortion.
 

@@ -27,7 +27,8 @@ from .errors import ConfigError, ImpulseLabError
 from .experiments import ExperimentConfig, ExperimentReport, clt_experiment, lln_experiment
 from .fluctuation import fluctuation_path
 from .fpt import FptParams, fpt_cdf, fpt_density
-from .stochastic import BrownianRecord, NoiseParams, default_impulse_cap, simulate_path
+from .stochastic import (BrownianRecord, NoiseParams, _check_stochastic_dt,
+                         default_impulse_cap, simulate_path)
 from .system import (ImpulseSchedule, SystemSpec, constant_drift, deterministic_trajectory,
                      integrate_deterministic, linear_reset, saturating_reset,
                      simulation_grid, table_drift, table_reset, tanh_drift)
@@ -349,6 +350,7 @@ def _cmd_fluctuation(args) -> int:
     dt = args.dt if args.dt is not None else cfg.dt
     horizon = args.horizon if args.horizon is not None else cfg.horizon
     seed = args.seed if args.seed is not None else cfg.seed
+    _check_stochastic_dt(cfg.system.alpha, dt)
     grid = _wrap_config(simulation_grid, cfg.system.alpha, horizon, dt)
     det = integrate_deterministic(cfg.system, grid)
     record = BrownianRecord.generate(grid, seed,

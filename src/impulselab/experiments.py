@@ -16,11 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cadlag import build_aligning_distortion, skorohod_upper
+# The driver scores whole chunks with batch_skorohod_upper. The per-replica
+# reference path it replaced (classify_good_set, build_aligning_distortion,
+# first_order_on_grid, skorohod_upper) stays bound here, where
+# perfbench/tracing.py wraps it.
+from .cadlag import batch_skorohod_upper, build_aligning_distortion, skorohod_upper  # noqa: F401
 from .errors import ConfigError, DataError, ParameterError
-from .fluctuation import first_order_on_grid, fluctuation_trace
-from .stochastic import NoiseParams, classify_good_set, simulate_batch
-from .system import SystemSpec, integrate_deterministic, simulation_grid, solution_to_path
+from .fluctuation import first_order_on_grid, fluctuation_trace  # noqa: F401
+from .stochastic import NoiseParams, classify_good_set, good_set_mask, simulate_batch  # noqa: F401
+from .system import SystemSpec, integrate_deterministic, simulation_grid
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,7 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
         raise ParameterError("refined mode needs the drift derivative on the system")
     grid = simulation_grid(spec.alpha, config.horizon, config.dt)
     det = integrate_deterministic(spec, grid)
-    det_path = solution_to_path(spec, det)
-    det_times = grid.impulse_times()
+    det_arrays = (det.r_values, det.theta_values, det.pre_radii, det.post_radii)
     n_impulses = grid.n_impulses
     base_rows, refined_rows = [], []
     for eps in config.eps_grid:
@@ -164,26 +167,19 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
             batch = simulate_batch(spec, noise, config.horizon, config.dt,
                                    config.master_seed, count, replica_offset=offset,
                                    store_increments=compute_refined and not zero_fluctuation)
+            good = good_set_mask(batch.tau, batch.counts, spec.alpha, n_impulses, delta)
+            bad += count - int(np.count_nonzero(good))
             if compute_refined and not zero_fluctuation:
                 trace = fluctuation_trace(spec, det, batch.w_increments)
             else:
                 trace = None
-            for i in range(count):
-                schedule = batch.schedule(i)
-                record = classify_good_set(schedule, spec.alpha, n_impulses, delta)
-                bad += 0 if record.is_good else 1
-                distortion = build_aligning_distortion(det_times, schedule.times,
-                                                       config.horizon, record.is_good)
-                noisy = batch.path(i)
-                base_d[offset + i] = skorohod_upper(det_path, noisy, distortion)
-                if compute_refined:
-                    if trace is None:
-                        refined_d[offset + i] = base_d[offset + i]
-                        continue
-                    values, pre, post = trace
-                    approx = first_order_on_grid(spec, det, values[:, i],
-                                                 pre[:, i], post[:, i], eps)
-                    refined_d[offset + i] = skorohod_upper(approx, noisy, distortion)
+            chunk = slice(offset, offset + count)
+            base_d[chunk], refined = batch_skorohod_upper(
+                grid.times, grid.boundary_indices, spec.alpha, det_arrays,
+                (batch.r_values, batch.theta_values, batch.tau, batch.pre, batch.post,
+                 batch.counts), good, trace, eps)
+            if compute_refined:
+                refined_d[chunk] = base_d[chunk] if refined is None else refined
         base_rows.append(_row(eps, base_d ** config.beta, bad))
         if compute_refined:
             refined_rows.append(_row(eps, refined_d ** config.beta, bad))

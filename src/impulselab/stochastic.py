@@ -288,17 +288,26 @@ class GoodSetRecord:
 def classify_good_set(schedule: ImpulseSchedule, alpha: float, n_expected: int,
                       delta: float) -> GoodSetRecord:
     """Good means exactly n_expected impulses, each within delta of k*alpha."""
+    times = schedule.times
+    is_good = bool(good_set_mask(times[None, :], np.array([times.shape[0]]), alpha,
+                                 n_expected, delta)[0])
+    upto = min(times.shape[0], n_expected)
+    deviations = np.abs(times[:upto] - alpha * np.arange(1, upto + 1))
+    return GoodSetRecord(delta=delta, n_expected=n_expected, is_good=is_good,
+                         deviations=deviations)
+
+
+def good_set_mask(tau: np.ndarray, counts: np.ndarray, alpha: float, n_expected: int,
+                  delta: float) -> np.ndarray:
+    """:func:`classify_good_set` for a batch: `tau` is (M, n_max), valid up to
+    `counts`, as in :class:`BatchResult`. Returns the (M,) good flags."""
     if not (0.0 < delta < alpha / 4.0):
         raise ParameterError("delta must lie in (0, alpha/4)")
     if n_expected < 0:
         raise ParameterError("expected impulse count must be nonnegative")
-    times = schedule.times
-    count = times.shape[0]
-    upto = min(count, n_expected)
-    deviations = np.abs(times[:upto] - alpha * np.arange(1, upto + 1))
-    is_good = bool(count == n_expected and (deviations.size == 0 or np.max(deviations) <= delta))
-    return GoodSetRecord(delta=delta, n_expected=n_expected, is_good=is_good,
-                         deviations=deviations)
+    lead = np.asarray(tau, dtype=float)[:, :n_expected]
+    deviations = np.abs(lead - alpha * np.arange(1, lead.shape[1] + 1))
+    return (np.asarray(counts) == n_expected) & np.all(deviations <= delta, axis=1)
 
 
 def good_set_probability_bound(horizon_index: int, alpha: float, epsilon: float,

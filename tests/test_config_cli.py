@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +100,24 @@ class TestLoadConfig:
         f.write_text("[model]\ndrift.kind = custom-table\ndrift.params = 0:0, 1:0.1\n")
         with pytest.raises(ConfigError, match="at least 4 points"):
             load_config(str(f))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_schema_loads(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert len(blocks) == 1
+    f = tmp_path / "readme.ini"
+    f.write_text(blocks[0])
+    cfg, defaults = load_config(str(f)), load_config(None)
+    assert (cfg.noise, cfg.dt, cfg.horizon, cfg.seed, cfg.mode, cfg.experiment) == (
+        defaults.noise, defaults.dt, defaults.horizon, defaults.seed, defaults.mode,
+        defaults.experiment)
+    assert (cfg.system.alpha, cfg.system.r0) == (defaults.system.alpha, defaults.system.r0)
+    radii = np.linspace(-2.0, 3.0, 11)
+    np.testing.assert_array_equal(cfg.system.drift(radii), defaults.system.drift(radii))
+    np.testing.assert_array_equal(cfg.system.reset(radii), defaults.system.reset(radii))
 
 
 def sample_report() -> ExperimentReport:
@@ -226,6 +246,13 @@ class TestCliCommands:
         # horizon landing exactly on an impulse time trips the horizon guard
         assert main(["trajectory", "--horizon", str(math.pi), "--out",
                      str(tmp_path / "x.csv")]) == 3
+
+    def test_fluctuation_applies_the_stochastic_step_guard(self, tmp_path):
+        # dt = 0.01 exceeds alpha/200 on the default quarter-turn wedge
+        for command in ("simulate", "fluctuation"):
+            assert main([command, "--seed", "11", "--dt", "0.01",
+                         "--out", str(tmp_path / f"{command}.csv")]) == 3
+        assert not (tmp_path / "fluctuation.csv").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
