@@ -18,12 +18,12 @@ from .errors import (AlignmentError, BoundSearchError, ComplexityGuardError, Con
                      ResolutionError, RunawayError, ShapeError)
 from .experiments import (EpsilonRow, ExperimentConfig, ExperimentReport, RateFit,
                           clt_experiment, fit_rate, ks_test, lln_experiment)
-from .fluctuation import FluctuationPath, first_order_approximation, fluctuation_path
+from .fluctuation import first_order_on_grid, fluctuation_path
 from .fpt import (FptParams, derived_tail_constant, fpt_cdf, fpt_density, fpt_laplace,
                   fpt_tail_bound, renewal_mgf_bound)
 from .stochastic import (BatchResult, BrownianRecord, GoodSetRecord, NoiseParams,
                          classify_good_set, good_set_mask, good_set_probability_bound,
-                         replica_seed_sequence, simulate_batch, simulate_path)
+                         replica_seed_sequence, simulate_batch)
 from .system import (DeterministicSolution, DriftModel, ImpulseSchedule, ResetModel,
                      SimulationGrid, SystemSpec, constant_drift, deterministic_trajectory,
                      impact_count, integrate_deterministic, linear_reset,
@@ -35,7 +35,7 @@ __all__ = [
     "AlignmentError", "BatchResult", "BoundSearchError", "BrownianRecord",
     "CadlagPath", "ComplexityGuardError", "ConfigError", "DataError",
     "DeterministicSolution", "DomainError", "DriftModel", "EpsilonRow",
-    "ExperimentConfig", "ExperimentReport", "FluctuationPath", "FptParams",
+    "ExperimentConfig", "ExperimentReport", "FptParams",
     "GoodSetRecord", "HorizonError", "ImpulseLabError", "ImpulseSchedule",
     "InvalidDistortionError", "InvalidInputError", "NoiseParams", "ParameterError",
     "RateFit", "ResetModel", "ResolutionError", "RunConfig", "RunawayError",
@@ -43,13 +43,13 @@ __all__ = [
     "aligning_cost_bound", "aligning_slope_deviation_bound", "batch_skorohod_upper",
     "build_aligning_distortion", "classify_good_set", "clt_experiment",
     "constant_drift", "derived_tail_constant", "deterministic_trajectory",
-    "distortion_cost", "emit", "first_order_approximation", "fit_rate",
+    "distortion_cost", "emit", "first_order_on_grid", "fit_rate",
     "fluctuation_path", "fpt_cdf", "fpt_density", "fpt_laplace", "fpt_tail_bound",
     "good_set_mask", "good_set_probability_bound", "impact_count",
     "integrate_deterministic",
     "ks_test", "linear_reset", "lln_experiment", "load_config", "read_path_csv",
     "renewal_mgf_bound", "replica_seed_sequence", "saturating_reset",
-    "simulate_batch", "simulate_path", "simulation_grid", "skorohod_oracle",
+    "simulate_batch", "simulation_grid", "skorohod_oracle",
     "skorohod_upper", "solution_to_path", "table_drift", "table_reset",
     "tanh_drift", "uniform_distance", "write_path_csv",
 ]

@@ -16,7 +16,8 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +29,14 @@ from .experiments import ExperimentConfig, ExperimentReport, clt_experiment, lln
 from .fluctuation import fluctuation_path
 from .fpt import FptParams, fpt_cdf, fpt_density
 from .stochastic import (BrownianRecord, NoiseParams, _check_stochastic_dt,
-                         default_impulse_cap, simulate_path)
+                         default_impulse_cap, replica_seed_sequence, simulate_batch)
 from .system import (ImpulseSchedule, SystemSpec, constant_drift, deterministic_trajectory,
                      integrate_deterministic, linear_reset, saturating_reset,
                      simulation_grid, table_drift, table_reset, tanh_drift)
 
 _SCHEMA = {
     "model": ("drift.kind", "drift.params", "reset.kind", "reset.params", "alpha", "r0"),
-    "noise": ("epsilon", "p", "sigma", "zeta"),
+    "noise": ("epsilon", "p", "sigma"),
     "numerics": ("dt", "horizon", "seed"),
     "experiment": ("mode", "eps_grid", "replicas", "beta", "nu"),
 }
@@ -50,7 +51,6 @@ _DEFAULTS = {
     ("noise", "epsilon"): "0.1",
     ("noise", "p"): "2.0",
     ("noise", "sigma"): "1",
-    ("noise", "zeta"): "0.0",
     ("numerics", "dt"): "1e-3",
     ("numerics", "horizon"): "4.0",
     ("numerics", "seed"): "0",
@@ -60,6 +60,17 @@ _DEFAULTS = {
     ("experiment", "beta"): "1",
     ("experiment", "nu"): "1.5",
 }
+
+# Config key of each field the dataclasses validate, for rewriting their errors.
+_CONFIG_KEYS = {
+    "alpha": "model.alpha", "r0": "model.r0",
+    "epsilon": "noise.epsilon", "p": "noise.p", "sigma": "noise.sigma",
+    "dt": "numerics.dt", "horizon": "numerics.horizon", "seed": "numerics.seed",
+    "mode": "experiment.mode", "eps_grid": "experiment.eps_grid",
+    "replicas": "experiment.replicas", "beta": "experiment.beta", "nu": "experiment.nu",
+}
+
+_MODES = ("lln", "clt")
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,12 @@ class RunConfig:
     seed: int
     mode: str
     experiment: ExperimentConfig
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative", field="seed")
+        if self.mode not in _MODES:
+            raise ConfigError(f"mode must be one of {', '.join(_MODES)}", field="mode")
 
 
 def _parse_value(section: str, key: str, raw: str, kind):
@@ -150,67 +167,26 @@ def load_config(path: str | None) -> RunConfig:
     def intval(section: str, key: str) -> int:
         return _parse_value(section, key, raw(section, key), int)
 
-    alpha = floatval("model", "alpha")
-    if not (0.0 < alpha < 2.0 * math.pi):
-        raise ConfigError("model.alpha: must lie strictly between 0 and 2*pi")
-    r0 = floatval("model", "r0")
-    if r0 <= 0.0:
-        raise ConfigError("model.r0: must be positive")
-    epsilon = floatval("noise", "epsilon")
-    if not (0.0 <= epsilon < 1.0):
-        raise ConfigError("noise.epsilon: must lie in [0, 1)")
     p = floatval("noise", "p")
-    if p <= 1.0:
-        raise ConfigError("noise.p: must exceed 1")
-    sigma = intval("noise", "sigma")
-    if sigma not in (0, 1):
-        raise ConfigError("noise.sigma: must be 0 or 1")
-    zeta = floatval("noise", "zeta")
-    if zeta < 0.0:
-        raise ConfigError("noise.zeta: must be nonnegative")
     dt = floatval("numerics", "dt")
-    if dt <= 0.0:
-        raise ConfigError("numerics.dt: must be positive")
     horizon = floatval("numerics", "horizon")
-    if horizon <= 0.0:
-        raise ConfigError("numerics.horizon: must be positive")
     seed = intval("numerics", "seed")
-    if seed < 0:
-        raise ConfigError("numerics.seed: must be nonnegative")
-    mode = raw("experiment", "mode")
-    if mode not in ("lln", "clt"):
-        raise ConfigError("experiment.mode: must be lln or clt")
-    grid_raw = raw("experiment", "eps_grid")
     eps_grid = tuple(_parse_value("experiment", "eps_grid", item.strip(), float)
-                     for item in grid_raw.split(",") if item.strip())
-    if not eps_grid:
-        raise ConfigError("experiment.eps_grid: must list at least one value")
-    if any(not (0.0 < e < 1.0) for e in eps_grid):
-        raise ConfigError("experiment.eps_grid: every value must lie in (0, 1)")
-    replicas = intval("experiment", "replicas")
-    if replicas < 1:
-        raise ConfigError("experiment.replicas: must be positive")
-    beta = intval("experiment", "beta")
-    if beta not in (1, 2):
-        raise ConfigError("experiment.beta: must be 1 or 2")
-    nu = floatval("experiment", "nu")
-    if not (1.0 < nu < p):
-        raise ConfigError("experiment.nu: must lie strictly between 1 and noise.p")
-
-    try:
+                     for item in raw("experiment", "eps_grid").split(",") if item.strip())
+    with _config_errors():
         drift = _build_drift(raw("model", "drift.kind"), raw("model", "drift.params"))
         reset = _build_reset(raw("model", "reset.kind"), raw("model", "reset.params"))
-        system = SystemSpec.from_models(drift, reset, alpha=alpha, r0=r0)
-        noise = NoiseParams(epsilon=epsilon, p=p, sigma=sigma, zeta=zeta)
-        experiment = ExperimentConfig(eps_grid=eps_grid, replicas=replicas, beta=beta,
-                                      nu=nu, p=p, dt=dt, horizon=horizon,
-                                      master_seed=seed)
-    except ConfigError:
-        raise
-    except ImpulseLabError as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(system=system, noise=noise, dt=dt, horizon=horizon, seed=seed,
-                     mode=mode, experiment=experiment)
+        system = SystemSpec.from_models(drift, reset, alpha=floatval("model", "alpha"),
+                                        r0=floatval("model", "r0"))
+        # NoiseParams before ExperimentConfig, so that a bad p is reported as noise.p.
+        noise = NoiseParams(epsilon=floatval("noise", "epsilon"), p=p,
+                            sigma=intval("noise", "sigma"))
+        experiment = ExperimentConfig(eps_grid=eps_grid, replicas=intval("experiment", "replicas"),
+                                      beta=intval("experiment", "beta"),
+                                      nu=floatval("experiment", "nu"), p=p, dt=dt,
+                                      horizon=horizon, master_seed=seed)
+        return RunConfig(system=system, noise=noise, dt=dt, horizon=horizon, seed=seed,
+                         mode=raw("experiment", "mode"), experiment=experiment)
 
 
 def _json_ready(value):
@@ -298,34 +274,36 @@ def _write_json(payload: dict, destination) -> None:
         fh.write("\n")
 
 
-def _wrap_config(fn, *args, **kwargs):
-    """User-supplied flag values that fail validation are config errors."""
+@contextmanager
+def _config_errors():
+    """Values from the user that fail validation are config errors, reported
+    against the config key of the field that was rejected."""
     try:
-        return fn(*args, **kwargs)
-    except ConfigError:
-        raise
+        yield
     except ImpulseLabError as exc:
+        key = _CONFIG_KEYS.get(exc.field)
+        if key is not None:
+            raise ConfigError(f"{key}: {exc}") from exc
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(str(exc)) from exc
 
 
+def _with_overrides(cfg: RunConfig, args) -> RunConfig:
+    """`cfg` with the subcommand's flags applied and validated like the file."""
+    def given(*names):
+        return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+    with _config_errors():
+        noise = replace(cfg.noise, **given("epsilon", "p", "sigma"))
+        return replace(cfg, noise=noise, **given("dt", "horizon", "seed", "mode"))
+
+
 def _cmd_trajectory(args) -> int:
-    cfg = load_config(args.config)
-    dt = args.dt if args.dt is not None else cfg.dt
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
-    path, _ = deterministic_trajectory(cfg.system, horizon, dt)
+    cfg = _with_overrides(load_config(args.config), args)
+    path, _ = deterministic_trajectory(cfg.system, cfg.horizon, cfg.dt)
     write_path_csv(path, args.out)
     return 0
-
-
-def _noise_with_overrides(cfg: RunConfig, args) -> NoiseParams:
-    return _wrap_config(
-        NoiseParams,
-        epsilon=args.epsilon if args.epsilon is not None else cfg.noise.epsilon,
-        p=args.p if args.p is not None else cfg.noise.p,
-        sigma=args.sigma if args.sigma is not None else cfg.noise.sigma,
-        zeta=args.zeta if args.zeta is not None else cfg.noise.zeta,
-        angular_drift=cfg.noise.angular_drift,
-    )
 
 
 def _sidecar(out: str, suffix: str) -> str:
@@ -333,35 +311,30 @@ def _sidecar(out: str, suffix: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    noise = _noise_with_overrides(cfg, args)
-    dt = args.dt if args.dt is not None else cfg.dt
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
-    seed = args.seed if args.seed is not None else cfg.seed
-    path, schedule, _ = simulate_path(cfg.system, noise, horizon, dt, seed)
-    write_path_csv(path, args.out)
+    cfg = _with_overrides(load_config(args.config), args)
+    batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, cfg.seed, 1)
+    write_path_csv(batch.path(0), args.out)
     if args.out != "-":
-        emit(schedule, "csv", _sidecar(args.out, ".impulses.csv"))
+        emit(batch.schedule(0), "csv", _sidecar(args.out, ".impulses.csv"))
     return 0
 
 
 def _cmd_fluctuation(args) -> int:
-    cfg = load_config(args.config)
-    dt = args.dt if args.dt is not None else cfg.dt
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
-    seed = args.seed if args.seed is not None else cfg.seed
-    _check_stochastic_dt(cfg.system.alpha, dt)
-    grid = _wrap_config(simulation_grid, cfg.system.alpha, horizon, dt)
+    cfg = _with_overrides(load_config(args.config), args)
+    alpha = cfg.system.alpha
+    _check_stochastic_dt(alpha, cfg.dt)
+    grid = simulation_grid(alpha, cfg.horizon, cfg.dt)
     det = integrate_deterministic(cfg.system, grid)
-    record = BrownianRecord.generate(grid, seed,
-                                     default_impulse_cap(cfg.system.alpha, horizon))
-    correction = fluctuation_path(cfg.system, det, record)
-    write_path_csv(correction.r1, args.out)
+    # Replica 0's record: the increments that drive simulate --seed.
+    record = BrownianRecord.generate(grid, replica_seed_sequence(cfg.seed, 0),
+                                     default_impulse_cap(alpha, cfg.horizon))
+    write_path_csv(fluctuation_path(cfg.system, det, record), args.out)
     return 0
 
 
 def _cmd_fpt(args) -> int:
-    params = _wrap_config(FptParams, alpha=args.alpha, eps_p=args.eps_p)
+    with _config_errors():
+        params = FptParams(alpha=args.alpha, eps_p=args.eps_p)
     parts = args.grid.split(":")
     if len(parts) != 3:
         raise ConfigError("--grid expects t0:t1:n")
@@ -392,9 +365,8 @@ def _cmd_skorohod(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
-    mode = args.mode if args.mode is not None else cfg.mode
-    if mode == "lln":
+    cfg = _with_overrides(load_config(args.config), args)
+    if cfg.mode == "lln":
         report = lln_experiment(cfg.experiment, cfg.system)
     else:
         report = clt_experiment(cfg.experiment, cfg.system)
@@ -429,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", type=float, default=None, help="radial noise scale in [0, 1)")
     s.add_argument("--p", type=float, default=None, help="angular noise exponent, > 1")
     s.add_argument("--sigma", type=int, default=None, choices=(0, 1), help="angular noise switch")
-    s.add_argument("--zeta", type=float, default=None, help="angular drift scale, >= 0")
     s.add_argument("--dt", type=float, default=None, help="step size, at most alpha/200")
     s.add_argument("--horizon", type=float, default=None,
                    help="final time T, strictly between N*alpha and (N+1)*alpha")
@@ -468,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("experiment", parents=[common],
                        help="Monte Carlo distance moments across the epsilon grid")
-    e.add_argument("--mode", choices=("lln", "clt"), default=None,
+    e.add_argument("--mode", choices=_MODES, default=None,
                    help="baseline distance to the deterministic path (lln) or "
                         "to the first-order refinement (clt)")
     e.add_argument("--out", required=True,

@@ -6,7 +6,15 @@ can map failures to exit codes (config errors vs numerical guards vs I/O).
 
 
 class ImpulseLabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `field` names the parameter a range check rejected, where there is one, so
+    that callers can report the error against their own name for it.
+    """
+
+    def __init__(self, message: str = "", field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ConfigError(ImpulseLabError):

@@ -45,19 +45,21 @@ class ExperimentConfig:
         grid = tuple(float(e) for e in self.eps_grid)
         object.__setattr__(self, "eps_grid", grid)
         if len(grid) == 0:
-            raise ConfigError("epsilon grid must not be empty")
+            raise ConfigError("epsilon grid must not be empty", field="eps_grid")
         if any(not (0.0 < e < 1.0) for e in grid):
-            raise ConfigError("every epsilon must lie in (0, 1)")
+            raise ConfigError("every epsilon must lie in (0, 1)", field="eps_grid")
         if self.replicas < 1:
-            raise ConfigError("replica count must be positive")
+            raise ConfigError("replica count must be positive", field="replicas")
         if self.beta not in (1, 2):
-            raise ConfigError("moment order beta must be 1 or 2")
+            raise ConfigError("moment order beta must be 1 or 2", field="beta")
         if not (1.0 < self.nu < self.p):
-            raise ConfigError("good-set exponent nu must lie in (1, p)")
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ConfigError("step and horizon must be positive")
+            raise ConfigError("good-set exponent nu must lie in (1, p)", field="nu")
+        if self.dt <= 0.0:
+            raise ConfigError("step must be positive", field="dt")
+        if self.horizon <= 0.0:
+            raise ConfigError("horizon must be positive", field="horizon")
         if self.chunk_size < 1:
-            raise ConfigError("chunk size must be positive")
+            raise ConfigError("chunk size must be positive", field="chunk_size")
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,6 @@ def _maybe_fit(rows) -> RateFit | None:
 def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
          zero_fluctuation: bool):
     """Shared driver. Returns (baseline rows, refined rows or None)."""
-    if compute_refined and spec.drift_derivative is None:
-        raise ParameterError("refined mode needs the drift derivative on the system")
     grid = simulation_grid(spec.alpha, config.horizon, config.dt)
     det = integrate_deterministic(spec, grid)
     det_arrays = (det.r_values, det.theta_values, det.pre_radii, det.post_radii)

@@ -5,49 +5,18 @@ driven by the same Brownian increments as a coupled noisy simulation; at each
 deterministic impulse time kα it is rescaled by h'(r-), the reset slope at the
 pre-impulse radius, and R1(0) = 0. The angular correction is identically zero
 because the angular noise enters only at order epsilon^p with p > 1. The
-first-order approximation of the noisy system is then x(t) + epsilon*Z(t).
+first-order approximation of the noisy system is then x(t) + epsilon*Z(t),
+with Z = (R1, 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cadlag import CadlagPath, Segment, assemble_from_grid
+from .cadlag import CadlagPath, assemble_from_grid
 from .errors import AlignmentError, ParameterError
 from .stochastic import BrownianRecord
 from .system import DeterministicSolution, SystemSpec
-
-
-@dataclass(frozen=True, eq=False)
-class FluctuationPath:
-    """Correction pair Z = (R1, Theta1) with the seed of its driving noise.
-
-    Theta1 is identically zero; it is carried explicitly so that Z has the
-    same shape as the state. Jumps of R1 sit exactly at the deterministic
-    impulse times, never at the noisy ones.
-    """
-
-    r1: CadlagPath
-    theta1: CadlagPath
-    seed_entropy: int
-    spawn_key: tuple
-
-    def __post_init__(self):
-        if self.r1.dim != 1 or self.theta1.dim != 1:
-            raise ParameterError("fluctuation components must be scalar paths")
-        if self.r1.horizon != self.theta1.horizon:
-            raise AlignmentError("fluctuation components disagree on the horizon")
-
-
-def _check_coupling(spec: SystemSpec, det: DeterministicSolution, times: np.ndarray) -> None:
-    if spec.drift_derivative is None:
-        raise ParameterError("fluctuation dynamics need the drift derivative; "
-                             "construct the system from a drift model that provides one")
-    grid_times = det.grid.times
-    if times.shape != grid_times.shape or not np.array_equal(times, grid_times):
-        raise AlignmentError("Brownian record grid does not match the deterministic grid")
 
 
 def fluctuation_trace(spec: SystemSpec, det: DeterministicSolution,
@@ -59,6 +28,9 @@ def fluctuation_trace(spec: SystemSpec, det: DeterministicSolution,
     (values, pre, post): grid samples with the post-impulse convention at
     impulse indices, plus pre/post values at each impulse.
     """
+    if spec.drift_derivative is None:
+        raise ParameterError("fluctuation dynamics need the drift derivative; "
+                             "construct the system from a drift model that provides one")
     single = w_increments.ndim == 1
     w_inc = w_increments[:, None] if single else w_increments
     grid = det.grid
@@ -89,50 +61,31 @@ def fluctuation_trace(spec: SystemSpec, det: DeterministicSolution,
 
 
 def fluctuation_path(spec: SystemSpec, det: DeterministicSolution,
-                     record: BrownianRecord) -> FluctuationPath:
-    """Correction Z driven by `record` on the deterministic grid."""
-    _check_coupling(spec, det, record.times)
-    values, pre, post = fluctuation_trace(spec, det, record.w_increments)
+                     record: BrownianRecord) -> CadlagPath:
+    """R1 driven by `record` on the deterministic grid, as a scalar path.
+
+    Its jumps sit exactly at the deterministic impulse times, never at the
+    noisy ones.
+    """
     grid = det.grid
-    jump_times = grid.impulse_times()
-    r1 = assemble_from_grid(grid.horizon, grid.times, values[:, None],
-                            jump_times, pre[:, None], post[:, None])
-    zeros = np.zeros((grid.times.shape[0], 1))
-    n_imp = jump_times.shape[0]
-    theta1 = assemble_from_grid(grid.horizon, grid.times, zeros,
-                                jump_times, np.zeros((n_imp, 1)), np.zeros((n_imp, 1)))
-    return FluctuationPath(r1=r1, theta1=theta1,
-                           seed_entropy=record.seed_entropy,
-                           spawn_key=record.spawn_key)
-
-
-def _segments_aligned(a: CadlagPath, b: CadlagPath) -> bool:
-    if a.horizon != b.horizon or len(a.segments) != len(b.segments):
-        return False
-    return all(np.array_equal(sa.times, sb.times)
-               for sa, sb in zip(a.segments, b.segments))
-
-
-def first_order_approximation(det: CadlagPath, z: FluctuationPath,
-                              epsilon: float) -> CadlagPath:
-    """Path x + epsilon*Z, componentwise; jumps stay at the deterministic times."""
-    if epsilon < 0.0:
-        raise ParameterError("epsilon must be nonnegative")
-    if det.dim != 2:
-        raise AlignmentError("expected a two-component (radius, angle) path")
-    if not (_segments_aligned(det, z.r1) and _segments_aligned(det, z.theta1)):
-        raise AlignmentError("correction and deterministic path live on different grids")
-    segments = []
-    for seg, seg_r, seg_t in zip(det.segments, z.r1.segments, z.theta1.segments):
-        correction = np.concatenate([seg_r.values, seg_t.values], axis=1)
-        segments.append(Segment(times=seg.times, values=seg.values + epsilon * correction))
-    return CadlagPath(det.horizon, segments, jump_times=det.jump_times)
+    if not np.array_equal(record.times, grid.times):
+        raise AlignmentError("Brownian record grid does not match the deterministic grid")
+    values, pre, post = fluctuation_trace(spec, det, record.w_increments)
+    return assemble_from_grid(grid.horizon, grid.times, values[:, None],
+                              grid.impulse_times(), pre[:, None], post[:, None])
 
 
 def first_order_on_grid(spec: SystemSpec, det: DeterministicSolution,
                         trace_values: np.ndarray, trace_pre: np.ndarray,
                         trace_post: np.ndarray, epsilon: float) -> CadlagPath:
-    """Assemble x + epsilon*Z directly from one column of a batched trace."""
+    """Assemble x + epsilon*Z directly from one column of a batched trace.
+
+    Jumps stay at the deterministic impulse times; the angle is not corrected.
+    """
+    if epsilon < 0.0:
+        raise ParameterError("epsilon must be nonnegative")
+    if trace_values.shape != det.r_values.shape:
+        raise AlignmentError("correction and deterministic path live on different grids")
     grid = det.grid
     combined = np.stack([det.r_values + epsilon * trace_values, det.theta_values], axis=1)
     n_imp = trace_pre.shape[0]

@@ -45,19 +45,20 @@ class NoiseParams:
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0):
-            raise ParameterError("epsilon must lie in [0, 1)")
+            raise ParameterError("epsilon must lie in [0, 1)", field="epsilon")
         if self.p <= 1.0:
-            raise ParameterError("angular exponent p must exceed 1")
+            raise ParameterError("angular exponent p must exceed 1", field="p")
         if self.sigma not in (0, 1):
-            raise ParameterError("sigma must be 0 or 1")
+            raise ParameterError("sigma must be 0 or 1", field="sigma")
         if self.zeta < 0.0:
-            raise ParameterError("zeta must be nonnegative")
+            raise ParameterError("zeta must be nonnegative", field="zeta")
         if self.angular_drift is not None:
             rr, tt = np.meshgrid(np.linspace(-8.0, 8.0, _F_PROBE),
                                  np.linspace(0.0, 2.0 * math.pi, _F_PROBE))
             vals = np.abs(np.asarray(self.angular_drift(rr, tt), dtype=float))
             if float(np.max(vals)) >= 1.0:
-                raise ParameterError("angular drift perturbation must satisfy sup|f| < 1")
+                raise ParameterError("angular drift perturbation must satisfy sup|f| < 1",
+                                     field="angular_drift")
 
     @property
     def angular_scale(self) -> float:
@@ -78,21 +79,18 @@ class BrownianRecord:
     increments consumed after each impulse.
     """
 
-    dt: float
     times: np.ndarray
     w_increments: np.ndarray
     b_increments: np.ndarray
     aux_w: np.ndarray
     aux_b: np.ndarray
-    seed_entropy: int
-    spawn_key: tuple
 
     @classmethod
-    def generate(cls, grid: SimulationGrid, seed, n_aux: int) -> "BrownianRecord":
-        if isinstance(seed, np.random.SeedSequence):
-            seed_seq = seed
-        else:
-            seed_seq = np.random.SeedSequence(int(seed))
+    def generate(cls, grid: SimulationGrid, seed_seq: np.random.SeedSequence,
+                 n_aux: int) -> "BrownianRecord":
+        """Draw a record from one stream, such as :func:`replica_seed_sequence`'s."""
+        if not isinstance(seed_seq, np.random.SeedSequence):
+            raise ParameterError("draw records from a SeedSequence, e.g. replica_seed_sequence")
         rng = np.random.Generator(np.random.Philox(seed_seq))
         scale = np.sqrt(grid.steps)
         n = grid.steps.shape[0]
@@ -100,10 +98,8 @@ class BrownianRecord:
         b = rng.standard_normal(n) * scale
         aux_w = rng.standard_normal(n_aux)
         aux_b = rng.standard_normal(n_aux)
-        entropy = seed_seq.entropy if isinstance(seed_seq.entropy, int) else 0
-        return cls(dt=grid.dt, times=grid.times, w_increments=w, b_increments=b,
-                   aux_w=aux_w, aux_b=aux_b, seed_entropy=entropy,
-                   spawn_key=tuple(seed_seq.spawn_key))
+        return cls(times=grid.times, w_increments=w, b_increments=b,
+                   aux_w=aux_w, aux_b=aux_b)
 
 
 def default_impulse_cap(alpha: float, horizon: float) -> int:
@@ -255,24 +251,6 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams, horizon: float, dt: flo
                        master_seed=master_seed, replica_offset=replica_offset,
                        w_increments=w_inc if store_increments else None,
                        b_increments=b_inc if store_increments else None)
-
-
-def simulate_path(spec: SystemSpec, noise: NoiseParams, horizon: float, dt: float,
-                  seed: int, n_max: int | None = None):
-    """One replica; returns (path, impulse schedule, driving Brownian record)."""
-    _check_stochastic_dt(spec.alpha, dt)
-    grid = simulation_grid(spec.alpha, horizon, dt)
-    if n_max is None:
-        n_max = default_impulse_cap(spec.alpha, horizon)
-    record = BrownianRecord.generate(grid, seed, n_max)
-    r_path, th_path, tau, pre, post, counts = _advance_batch(
-        spec, noise, grid, record.w_increments[:, None], record.b_increments[:, None],
-        record.aux_w[None, :], record.aux_b[None, :], n_max)
-    result = BatchResult(grid=grid, r_values=r_path, theta_values=th_path,
-                         tau=tau, pre=pre, post=post, counts=counts,
-                         master_seed=int(seed) if not isinstance(seed, np.random.SeedSequence) else 0,
-                         replica_offset=0)
-    return result.path(0), result.schedule(0), record
 
 
 @dataclass(frozen=True)

@@ -179,11 +179,11 @@ class SystemSpec:
 
     def __post_init__(self):
         if not (0.0 < self.alpha < TWO_PI):
-            raise ParameterError("alpha must lie in (0, 2*pi)")
+            raise ParameterError("alpha must lie in (0, 2*pi)", field="alpha")
         if self.r0 <= 0:
-            raise ParameterError("initial radius must be positive")
+            raise ParameterError("initial radius must be positive", field="r0")
         if self.theta0 != 0.0:
-            raise ParameterError("initial angle must be 0")
+            raise ParameterError("initial angle must be 0", field="theta0")
         if self.drift_bound < 0 or self.reset_slope_bound <= 0:
             raise ParameterError("drift bound must be nonnegative and reset slope bound positive")
         span = max(8.0, 4.0 * self.r0)

@@ -32,7 +32,6 @@ from impulselab import (
     linear_reset,
     renewal_mgf_bound,
     simulate_batch,
-    simulate_path,
     skorohod_oracle,
     skorohod_upper,
     uniform_distance,
@@ -227,8 +226,9 @@ def test_criterion_07_analytic_step_instance():
 def test_criterion_08_zero_noise_degeneracy(acceptance_spec):
     """Nearly noiseless simulation reproduces the deterministic trajectory."""
     noise = NoiseParams(epsilon=1e-8, p=2.0)
-    path, schedule, _ = simulate_path(acceptance_spec, noise, horizon=4.0,
-                                      dt=1e-4, seed=0)
+    batch = simulate_batch(acceptance_spec, noise, horizon=4.0, dt=1e-4,
+                           master_seed=0, n_replicas=1)
+    path, schedule = batch.path(0), batch.schedule(0)
     det_path, det_schedule = deterministic_trajectory(acceptance_spec,
                                                       horizon=4.0, dt=1e-4)
     sup = uniform_distance(path, det_path)

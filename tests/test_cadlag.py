@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impulselab import (
     CadlagPath,
@@ -35,6 +37,36 @@ def step_path(jump: float, height: float, horizon: float = 1.0) -> CadlagPath:
 def constant_path(value: float, horizon: float = 1.0, dim: int = 1) -> CadlagPath:
     vals = np.full((2, dim), value)
     return CadlagPath(horizon, [(np.array([0.0, horizon]), vals)])
+
+
+@st.composite
+def cadlag_paths(draw, horizon: float, dim: int, values=st.floats(-1e3, 1e3)) -> CadlagPath:
+    """Random paths on [0, horizon] with up to three jumps."""
+    cuts = sorted(draw(st.sets(st.integers(1, 99), max_size=3)))
+    bounds = [0.0, *(horizon * c / 100 for c in cuts), horizon]
+    segments = []
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        n = draw(st.integers(2, 5))
+        samples = draw(st.lists(values, min_size=n * dim, max_size=n * dim))
+        segments.append((np.linspace(start, end, n), np.reshape(samples, (n, dim))))
+    return CadlagPath(horizon, segments, jump_times=bounds[1:-1])
+
+
+@st.composite
+def distortions(draw, horizon: float) -> TimeDistortion:
+    """Random piecewise-linear increasing bijections of [0, horizon]."""
+    n = draw(st.integers(0, 3))
+    inner = st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True)
+    times = [0.0, *(horizon * c / 100 for c in sorted(draw(inner))), horizon]
+    images = [0.0, *(horizon * c / 100 for c in sorted(draw(inner))), horizon]
+    return TimeDistortion(np.array(times), np.array(images))
+
+
+@st.composite
+def path_pairs(draw):
+    horizon = draw(st.floats(0.5, 10.0))
+    dim = draw(st.integers(1, 2))
+    return horizon, draw(cadlag_paths(horizon, dim)), draw(cadlag_paths(horizon, dim))
 
 
 class TestCadlagPath:
@@ -142,6 +174,19 @@ class TestSkorohodUpper:
         with pytest.raises(ShapeError):
             skorohod_upper(constant_path(0.0, dim=1), constant_path(0.0, dim=2),
                            TimeDistortion.identity(1.0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=path_pairs(), data=st.data())
+    def test_upper_bound_dominates_distortion_cost(self, pair, data):
+        horizon, x1, x2 = pair
+        lam = data.draw(distortions(horizon))
+        assert skorohod_upper(x1, x2, lam) >= distortion_cost(lam)
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=path_pairs())
+    def test_uniform_distance_is_symmetric(self, pair):
+        _, x1, x2 = pair
+        assert uniform_distance(x1, x2) == uniform_distance(x2, x1)
 
     def test_upper_bound_dominates_oracle(self):
         x1 = step_path(0.3, 1.0)
@@ -257,12 +302,19 @@ class TestAligningBounds:
         assert distortion_cost(lam) <= aligning_cost_bound(0.25, 1.0, 2.8)
 
 
+def fixed_csv_path() -> CadlagPath:
+    rng = np.random.default_rng(3)
+    seg1 = (np.linspace(0.0, 0.7, 5), rng.standard_normal((5, 2)))
+    seg2 = (np.linspace(0.7, 2.0, 7), rng.standard_normal((7, 2)))
+    return CadlagPath(2.0, [seg1, seg2], jump_times=[0.7])
+
+
 class TestPathCsv:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(3)
-        seg1 = (np.linspace(0.0, 0.7, 5), rng.standard_normal((5, 2)))
-        seg2 = (np.linspace(0.7, 2.0, 7), rng.standard_normal((7, 2)))
-        path = CadlagPath(2.0, [seg1, seg2], jump_times=[0.7])
+    @settings(max_examples=50, deadline=None)
+    @given(path=st.tuples(st.floats(1e-3, 1e6), st.integers(1, 3)).flatmap(
+        lambda hd: cadlag_paths(*hd, values=st.floats(allow_nan=False, allow_infinity=False))))
+    @example(path=fixed_csv_path())
+    def test_round_trip_exact(self, path):
         buf = io.StringIO()
         write_path_csv(path, buf)
         again = read_path_csv(io.StringIO(buf.getvalue()))

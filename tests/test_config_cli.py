@@ -1,8 +1,10 @@
 """Config loading, stable emission, and command line round trips."""
 
+import io
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,14 @@ from impulselab import (
     ConfigError,
     ImpulseSchedule,
     emit,
+    integrate_deterministic,
     load_config,
     read_path_csv,
+    simulate_batch,
     uniform_distance,
+    write_path_csv,
 )
+from impulselab.fluctuation import fluctuation_trace
 from impulselab.cli import main
 from impulselab.experiments import EpsilonRow, ExperimentReport, RateFit
 
@@ -51,8 +57,22 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "k.ini"
-        f.write_text("[noise]\nepsilonn = 0.1\n")
-        with pytest.raises(ConfigError, match="unknown key"):
+        for key in ("epsilonn", "zeta"):
+            f.write_text(f"[noise]\n{key} = 0.1\n")
+            with pytest.raises(ConfigError, match=rf"noise\.{key}: unknown key"):
+                load_config(str(f))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "r0", "0"), ("noise", "epsilon", "1.5"), ("noise", "sigma", "2"),
+        ("numerics", "dt", "0"), ("numerics", "horizon", "-1"), ("numerics", "seed", "-1"),
+        ("experiment", "mode", "both"), ("experiment", "eps_grid", "0.1, 1.5"),
+        ("experiment", "eps_grid", ","), ("experiment", "replicas", "0"),
+        ("experiment", "beta", "3"),
+    ])
+    def test_range_error_names_its_key(self, tmp_path, section, key, value):
+        f = tmp_path / "r.ini"
+        f.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
             load_config(str(f))
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -118,6 +138,23 @@ def test_readme_config_schema_loads(tmp_path):
     radii = np.linspace(-2.0, 3.0, 11)
     np.testing.assert_array_equal(cfg.system.drift(radii), defaults.system.drift(radii))
     np.testing.assert_array_equal(cfg.system.reset(radii), defaults.system.reset(radii))
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    ini = re.findall(r"```ini\n(.*?)```", text, flags=re.S)[0]
+    for key, value in (("replicas", "6"), ("dt", "2e-3")):
+        ini, hits = re.subn(rf"^{key} = .*$", f"{key} = {value}", ini, flags=re.M)
+        assert hits == 1
+    (tmp_path / "exp.ini").write_text(ini)
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("impulselab ")]
+    assert len(commands) == 7
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert (tmp_path / "rates.summary.json").exists()
 
 
 def sample_report() -> ExperimentReport:
@@ -244,8 +281,39 @@ class TestCliCommands:
 
     def test_numerical_guard_exit_code(self, tmp_path):
         # horizon landing exactly on an impulse time trips the horizon guard
-        assert main(["trajectory", "--horizon", str(math.pi), "--out",
-                     str(tmp_path / "x.csv")]) == 3
+        for command in ("trajectory", "simulate", "fluctuation"):
+            assert main([command, "--horizon", str(math.pi), "--out",
+                         str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "fluctuation"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
+        assert main([command, "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert re.search(r"^config error: numerics\.seed: .*seed", capsys.readouterr().err)
+
+    def test_simulate_seed_is_experiment_replica_zero(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--seed", "5", "--epsilon", "0.1", "--out", str(out)]) == 0
+        cfg = load_config(None)
+        batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, master_seed=5,
+                               n_replicas=3)
+        want_path, want_schedule = io.StringIO(), io.StringIO()
+        write_path_csv(batch.path(0), want_path)
+        emit(batch.schedule(0), "csv", want_schedule)
+        assert out.read_text() == want_path.getvalue()
+        assert (tmp_path / "run.impulses.csv").read_text() == want_schedule.getvalue()
+
+    def test_fluctuation_seed_uses_replica_zero_increments(self, tmp_path):
+        out = tmp_path / "z.csv"
+        assert main(["fluctuation", "--seed", "5", "--out", str(out)]) == 0
+        cfg = load_config(None)
+        batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, master_seed=5,
+                               n_replicas=3, store_increments=True)
+        grid = batch.grid
+        det = integrate_deterministic(cfg.system, grid)
+        values, pre, _ = fluctuation_trace(cfg.system, det, batch.w_increments[:, 0])
+        z = read_path_csv(str(out))
+        np.testing.assert_array_equal(z.values_at(grid.times)[:, 0], values)
+        np.testing.assert_array_equal(z.values_at(grid.impulse_times(), "left")[:, 0], pre)
 
     def test_fluctuation_applies_the_stochastic_step_guard(self, tmp_path):
         # dt = 0.01 exceeds alpha/200 on the default quarter-turn wedge

@@ -11,9 +11,10 @@ from impulselab import (
     ResetModel,
     SystemSpec,
     constant_drift,
-    first_order_approximation,
+    first_order_on_grid,
     integrate_deterministic,
     linear_reset,
+    replica_seed_sequence,
     simulation_grid,
     solution_to_path,
 )
@@ -26,7 +27,7 @@ def unit_setup():
                                   alpha=1.0, r0=1.0)
     grid = simulation_grid(1.0, 2.5, 1e-3)
     det = integrate_deterministic(spec, grid)
-    record = BrownianRecord.generate(grid, 42, 8)
+    record = BrownianRecord.generate(grid, replica_seed_sequence(42, 0), 8)
     return spec, grid, det, record
 
 
@@ -62,7 +63,7 @@ class TestFluctuationTrace:
         spec = SystemSpec.from_models(drift, reset, alpha=1.0, r0=1.0)
         grid = simulation_grid(1.0, 2.5, 1e-3)
         det = integrate_deterministic(spec, grid)
-        record = BrownianRecord.generate(grid, 7, 8)
+        record = BrownianRecord.generate(grid, replica_seed_sequence(7, 0), 8)
         values, _, post = fluctuation_trace(spec, det, record.w_increments)
         w = brownian_values(grid, record)
         assert np.all(post == 0.0)
@@ -72,7 +73,7 @@ class TestFluctuationTrace:
 
     def test_linearity_in_driver(self, unit_setup):
         spec, grid, det, record = unit_setup
-        other = BrownianRecord.generate(grid, 43, 8)
+        other = BrownianRecord.generate(grid, replica_seed_sequence(43, 0), 8)
         v1, _, _ = fluctuation_trace(spec, det, record.w_increments)
         v2, _, _ = fluctuation_trace(spec, det, other.w_increments)
         v_sum, _, _ = fluctuation_trace(spec, det, record.w_increments + other.w_increments)
@@ -90,16 +91,16 @@ class TestFluctuationPath:
     def test_structure(self, unit_setup):
         spec, grid, det, record = unit_setup
         z = fluctuation_path(spec, det, record)
-        np.testing.assert_array_equal(z.r1.jump_times, [1.0, 2.0])
-        assert z.r1.value_at(0.0)[0] == 0.0
-        assert all(np.all(seg.values == 0.0) for seg in z.theta1.segments)
-        assert z.spawn_key == record.spawn_key
+        assert z.dim == 1
+        np.testing.assert_array_equal(z.jump_times, [1.0, 2.0])
+        assert z.value_at(0.0)[0] == 0.0
 
     def test_grid_mismatch_rejected(self, unit_setup):
         spec, _, det, _ = unit_setup
         coarse = simulation_grid(1.0, 2.5, 2e-3)
         with pytest.raises(AlignmentError):
-            fluctuation_path(spec, det, BrownianRecord.generate(coarse, 1, 8))
+            fluctuation_path(spec, det,
+                             BrownianRecord.generate(coarse, replica_seed_sequence(1, 0), 8))
 
     def test_missing_drift_derivative_rejected(self, unit_setup):
         _, grid, det, record = unit_setup
@@ -110,36 +111,35 @@ class TestFluctuationPath:
                           reset_slope_bound=0.5, alpha=1.0, r0=1.0)
         with pytest.raises(ParameterError):
             fluctuation_path(bare, det, record)
+        with pytest.raises(ParameterError):
+            fluctuation_trace(bare, det, record.w_increments)
+
+
+def first_order(spec, det, record, epsilon):
+    values, pre, post = fluctuation_trace(spec, det, record.w_increments)
+    return first_order_on_grid(spec, det, values, pre, post, epsilon)
 
 
 class TestFirstOrderApproximation:
     def test_zero_epsilon_returns_deterministic(self, unit_setup):
         spec, _, det, record = unit_setup
         det_path = solution_to_path(spec, det)
-        z = fluctuation_path(spec, det, record)
-        approx = first_order_approximation(det_path, z, 0.0)
+        approx = first_order(spec, det, record, 0.0)
         for sa, sb in zip(approx.segments, det_path.segments):
             np.testing.assert_array_equal(sa.values, sb.values)
 
     def test_zero_correction_returns_deterministic(self, unit_setup):
-        spec, grid, det, record = unit_setup
+        spec, grid, det, _ = unit_setup
         det_path = solution_to_path(spec, det)
-        null_record = BrownianRecord(dt=record.dt, times=record.times,
-                                     w_increments=np.zeros_like(record.w_increments),
-                                     b_increments=np.zeros_like(record.b_increments),
-                                     aux_w=record.aux_w, aux_b=record.aux_b,
-                                     seed_entropy=0, spawn_key=())
-        z = fluctuation_path(spec, det, null_record)
-        approx = first_order_approximation(det_path, z, 0.3)
+        zeros = np.zeros(grid.times.shape[0])
+        approx = first_order_on_grid(spec, det, zeros, np.zeros(2), np.zeros(2), 0.3)
         for sa, sb in zip(approx.segments, det_path.segments):
             np.testing.assert_array_equal(sa.values, sb.values)
 
     def test_composed_closed_form_at_interior_time(self, unit_setup):
         spec, grid, det, record = unit_setup
-        det_path = solution_to_path(spec, det)
-        z = fluctuation_path(spec, det, record)
         eps = 0.1
-        approx = first_order_approximation(det_path, z, eps)
+        approx = first_order(spec, det, record, eps)
         w = brownian_values(grid, record)
         i1 = int(np.searchsorted(grid.times, 1.0))
         i15 = int(np.searchsorted(grid.times, 1.5))
@@ -147,19 +147,17 @@ class TestFirstOrderApproximation:
         assert approx.value_at(1.5)[0] == pytest.approx(expected, abs=1e-10)
         # the angular component is untouched by the correction
         assert approx.value_at(1.5)[1] == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_array_equal(approx.jump_times, [1.0, 2.0])
 
     def test_negative_epsilon_rejected(self, unit_setup):
         spec, _, det, record = unit_setup
-        det_path = solution_to_path(spec, det)
-        z = fluctuation_path(spec, det, record)
         with pytest.raises(ParameterError):
-            first_order_approximation(det_path, z, -0.1)
+            first_order(spec, det, record, -0.1)
 
     def test_grid_mismatch_rejected(self, unit_setup):
         spec, _, det, record = unit_setup
-        z = fluctuation_path(spec, det, record)
+        values, pre, post = fluctuation_trace(spec, det, record.w_increments)
         other_grid = simulation_grid(1.0, 2.5, 2e-3)
         other_det = integrate_deterministic(spec, other_grid)
-        other_path = solution_to_path(spec, other_det)
         with pytest.raises(AlignmentError):
-            first_order_approximation(other_path, z, 0.1)
+            first_order_on_grid(spec, other_det, values, pre, post, 0.1)

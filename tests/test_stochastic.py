@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impulselab import (
+    BrownianRecord,
     ImpulseSchedule,
     NoiseParams,
     ParameterError,
@@ -19,7 +22,7 @@ from impulselab import (
     linear_reset,
     replica_seed_sequence,
     simulate_batch,
-    simulate_path,
+    simulation_grid,
     uniform_distance,
 )
 
@@ -36,6 +39,12 @@ def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
     cdf_a = np.searchsorted(np.sort(a), data, side="right") / a.size
     cdf_b = np.searchsorted(np.sort(b), data, side="right") / b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def one_replica(spec, noise, horizon, dt, seed):
+    """Replica 0 of master seed `seed`, as `impulselab simulate --seed` writes it."""
+    batch = simulate_batch(spec, noise, horizon=horizon, dt=dt, master_seed=seed, n_replicas=1)
+    return batch.path(0), batch.schedule(0)
 
 
 def collect_tau(spec, noise, horizon, dt, seed, n_replicas, column=0, chunk=2500):
@@ -73,12 +82,37 @@ class TestNoiseParams:
         assert NoiseParams(epsilon=0.2, p=2.0, sigma=0).angular_scale == 0.0
 
 
+def tilt(r, theta):
+    """Angular drift perturbation with sup|f| = 0.9, nonnegative in the wedge."""
+    return 0.9 * np.sin(theta)
+
+
+class TestAngularDrift:
+    RUN = dict(horizon=4.0, dt=ALPHA / 400, master_seed=3, n_replicas=8)
+
+    def test_perturbation_moves_angles_and_impulses(self, halving_spec):
+        plain = simulate_batch(halving_spec, NoiseParams(epsilon=0.2, p=2.0), **self.RUN)
+        tilted = simulate_batch(halving_spec, NoiseParams(epsilon=0.2, p=2.0, zeta=0.5,
+                                                          angular_drift=tilt), **self.RUN)
+        assert not np.array_equal(plain.theta_values, tilted.theta_values)
+        assert not np.array_equal(plain.tau, tilted.tau, equal_nan=True)
+        # a faster angle reaches the wedge earlier
+        assert tilted.tau[:, 0].mean() < plain.tau[:, 0].mean()
+
+    def test_zero_scale_ignores_the_drift(self, halving_spec):
+        off = simulate_batch(halving_spec, NoiseParams(epsilon=0.2, p=2.0, zeta=0.0,
+                                                       angular_drift=tilt), **self.RUN)
+        none = simulate_batch(halving_spec, NoiseParams(epsilon=0.2, p=2.0), **self.RUN)
+        for name in ("r_values", "theta_values", "tau", "pre", "post", "counts"):
+            assert np.array_equal(getattr(off, name), getattr(none, name), equal_nan=True), name
+
+
 class TestZeroNoiseDegeneracy:
     def test_matches_deterministic_trajectory(self):
         spec = SystemSpec.from_models(constant_drift(0.2), linear_reset(0.5),
                                       alpha=1.0, r0=1.0)
         zero = NoiseParams(epsilon=0.0, p=2.0)
-        path, schedule, _ = simulate_path(spec, zero, horizon=2.5, dt=1e-4, seed=0)
+        path, schedule = one_replica(spec, zero, horizon=2.5, dt=1e-4, seed=0)
         det_path, det_schedule = deterministic_trajectory(spec, horizon=2.5, dt=1e-4)
         assert uniform_distance(path, det_path) <= 1e-6
         assert np.max(np.abs(schedule.times - det_schedule.times)) <= 1e-4
@@ -86,8 +120,8 @@ class TestZeroNoiseDegeneracy:
     def test_no_angular_noise_gives_sawtooth(self, halving_spec):
         quiet = NoiseParams(epsilon=0.2, p=2.0, sigma=0, zeta=0.0)
         for seed in (0, 1, 7):
-            _, schedule, _ = simulate_path(halving_spec, quiet, horizon=4.0,
-                                           dt=ALPHA / 400, seed=seed)
+            _, schedule = one_replica(halving_spec, quiet, horizon=4.0, dt=ALPHA / 400,
+                                      seed=seed)
             expected = ALPHA * np.arange(1, schedule.times.shape[0] + 1)
             assert np.max(np.abs(schedule.times - expected)) <= ALPHA / 400
 
@@ -103,36 +137,44 @@ class TestReproducibility:
         np.testing.assert_array_equal(a.tau, b.tau, strict=True)
         np.testing.assert_array_equal(a.w_increments, b.w_increments)
 
-    def test_chunking_does_not_change_replicas(self, halving_spec, noise):
-        whole = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
-                               master_seed=9, n_replicas=6)
-        left = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
-                              master_seed=9, n_replicas=3)
-        right = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
-                               master_seed=9, n_replicas=3, replica_offset=3)
-        np.testing.assert_array_equal(whole.r_values[:, :3], left.r_values)
-        np.testing.assert_array_equal(whole.r_values[:, 3:], right.r_values)
-        assert np.array_equal(whole.tau[:3], left.tau, equal_nan=True)
-        assert np.array_equal(whole.tau[3:], right.tau, equal_nan=True)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 10**6),
+           cuts=st.sets(st.integers(1, 5), max_size=4))
+    @example(seed=9, offset=0, cuts={3})
+    def test_chunking_does_not_change_replicas(self, halving_spec, seed, offset, cuts):
+        noise = NoiseParams(epsilon=0.2, p=2.0)
+        run = dict(horizon=4.0, dt=ALPHA / 400, master_seed=seed)
+        whole = simulate_batch(halving_spec, noise, n_replicas=6, replica_offset=offset, **run)
+        bounds = [0, *sorted(cuts), 6]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            part = simulate_batch(halving_spec, noise, n_replicas=hi - lo,
+                                  replica_offset=offset + lo, **run)
+            np.testing.assert_array_equal(whole.r_values[:, lo:hi], part.r_values)
+            np.testing.assert_array_equal(whole.theta_values[:, lo:hi], part.theta_values)
+            assert np.array_equal(whole.tau[lo:hi], part.tau, equal_nan=True)
 
     def test_replica_streams_differ(self):
         a = replica_seed_sequence(0, 0).generate_state(4)
         b = replica_seed_sequence(0, 1).generate_state(4)
         assert not np.array_equal(a, b)
 
+    def test_record_needs_a_seed_sequence(self):
+        grid = simulation_grid(ALPHA, 4.0, ALPHA / 400)
+        with pytest.raises(ParameterError):
+            BrownianRecord.generate(grid, 5, 8)
+
     def test_single_path_matches_batch_replica(self, halving_spec, noise):
-        path, schedule, _ = simulate_path(halving_spec, noise, horizon=4.0,
-                                          dt=ALPHA / 400, seed=replica_seed_sequence(5, 2))
+        single = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
+                                master_seed=5, n_replicas=1, replica_offset=2)
         batch = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
                                master_seed=5, n_replicas=4)
-        np.testing.assert_array_equal(schedule.times, batch.schedule(2).times)
-        assert uniform_distance(path, batch.path(2)) == 0.0
+        np.testing.assert_array_equal(single.schedule(0).times, batch.schedule(2).times)
+        assert uniform_distance(single.path(0), batch.path(2)) == 0.0
 
 
 class TestPathStructure:
     def test_radius_resets_only_at_impulses(self, halving_spec, noise):
-        path, schedule, _ = simulate_path(halving_spec, noise, horizon=4.0,
-                                          dt=ALPHA / 400, seed=12)
+        path, schedule = one_replica(halving_spec, noise, horizon=4.0, dt=ALPHA / 400, seed=12)
         np.testing.assert_array_equal(path.jump_times, schedule.times)
         for tau, pre, post in zip(schedule.times, schedule.pre_values, schedule.post_values):
             assert path.value_at(tau, side="left")[0] == pytest.approx(pre, abs=1e-12)
