@@ -24,7 +24,7 @@ import numpy as np
 
 from ._text import format_float, open_dest, write_csv_rows
 from .cadlag import CadlagPath, read_path_csv, skorohod_oracle, uniform_distance, write_path_csv
-from .errors import ConfigError, ImpulseLabError
+from .errors import ConfigError, ImpulseLabError, ParameterError
 from .experiments import ExperimentConfig, ExperimentReport, clt_experiment, lln_experiment
 from .fluctuation import fluctuation_path
 from .fpt import FptParams, fpt_cdf, fpt_density
@@ -79,9 +79,6 @@ class RunConfig:
 
     system: SystemSpec
     noise: NoiseParams
-    dt: float
-    horizon: float
-    seed: int
     mode: str
     experiment: ExperimentConfig
 
@@ -90,6 +87,19 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative", field="seed")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {', '.join(_MODES)}", field="mode")
+
+    # [numerics] lives in `experiment` alone; every subcommand reads it here.
+    @property
+    def dt(self) -> float:
+        return self.experiment.dt
+
+    @property
+    def horizon(self) -> float:
+        return self.experiment.horizon
+
+    @property
+    def seed(self) -> int:
+        return self.experiment.master_seed
 
 
 def _parse_value(section: str, key: str, raw: str, kind):
@@ -115,24 +125,24 @@ def _parse_table(section: str, key: str, raw: str):
     return points
 
 
-def _build_drift(kind: str, params: str):
-    if kind == "constant":
-        return constant_drift(_parse_value("model", "drift.params", params, float))
-    if kind == "tanh":
-        return tanh_drift(_parse_value("model", "drift.params", params, float))
-    if kind == "custom-table":
-        return table_drift(_parse_table("model", "drift.params", params))
-    raise ConfigError("model.drift.kind: must be one of constant, tanh, custom-table")
+_DRIFTS = {"constant": constant_drift, "tanh": tanh_drift, "custom-table": table_drift}
+_RESETS = {"linear": linear_reset, "saturating": saturating_reset, "custom-table": table_reset}
 
 
-def _build_reset(kind: str, params: str):
-    if kind == "linear":
-        return linear_reset(_parse_value("model", "reset.params", params, float))
-    if kind == "saturating":
-        return saturating_reset(_parse_value("model", "reset.params", params, float))
+def _build_model(part: str, families: dict, kind: str, params: str):
+    """The `model.<part>` family `kind` built from its params; its range
+    errors are reported against `model.<part>.params`."""
+    key = f"{part}.params"
+    if kind not in families:
+        raise ConfigError(f"model.{part}.kind: must be one of {', '.join(families)}")
     if kind == "custom-table":
-        return table_reset(_parse_table("model", "reset.params", params))
-    raise ConfigError("model.reset.kind: must be one of linear, saturating, custom-table")
+        value = _parse_table("model", key, params)
+    else:
+        value = _parse_value("model", key, params, float)
+    try:
+        return families[kind](value)
+    except ParameterError as exc:
+        raise ConfigError(f"model.{key}: {exc}") from exc
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -174,8 +184,10 @@ def load_config(path: str | None) -> RunConfig:
     eps_grid = tuple(_parse_value("experiment", "eps_grid", item.strip(), float)
                      for item in raw("experiment", "eps_grid").split(",") if item.strip())
     with _config_errors():
-        drift = _build_drift(raw("model", "drift.kind"), raw("model", "drift.params"))
-        reset = _build_reset(raw("model", "reset.kind"), raw("model", "reset.params"))
+        drift = _build_model("drift", _DRIFTS, raw("model", "drift.kind"),
+                             raw("model", "drift.params"))
+        reset = _build_model("reset", _RESETS, raw("model", "reset.kind"),
+                             raw("model", "reset.params"))
         system = SystemSpec.from_models(drift, reset, alpha=floatval("model", "alpha"),
                                         r0=floatval("model", "r0"))
         # NoiseParams before ExperimentConfig, so that a bad p is reported as noise.p.
@@ -185,8 +197,8 @@ def load_config(path: str | None) -> RunConfig:
                                       beta=intval("experiment", "beta"),
                                       nu=floatval("experiment", "nu"), p=p, dt=dt,
                                       horizon=horizon, master_seed=seed)
-        return RunConfig(system=system, noise=noise, dt=dt, horizon=horizon, seed=seed,
-                         mode=raw("experiment", "mode"), experiment=experiment)
+        return RunConfig(system=system, noise=noise, mode=raw("experiment", "mode"),
+                         experiment=experiment)
 
 
 def _json_ready(value):
@@ -294,9 +306,13 @@ def _with_overrides(cfg: RunConfig, args) -> RunConfig:
     def given(*names):
         return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
+    numerics = given("dt", "horizon")
+    if getattr(args, "seed", None) is not None:
+        numerics["master_seed"] = args.seed
     with _config_errors():
         noise = replace(cfg.noise, **given("epsilon", "p", "sigma"))
-        return replace(cfg, noise=noise, **given("dt", "horizon", "seed", "mode"))
+        experiment = replace(cfg.experiment, **numerics)
+        return replace(cfg, noise=noise, experiment=experiment, **given("mode"))
 
 
 def _cmd_trajectory(args) -> int:

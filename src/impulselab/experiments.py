@@ -1,12 +1,15 @@
 """Monte Carlo estimation of path-distance moments across a noise grid.
 
-For each epsilon the harness simulates M replicas, aligns each noisy path
-with the deterministic trajectory through the good-set time distortion
-(identity off the good set), records the chosen upper bound of the Skorohod
-distance, and averages its beta-th power. A log-log least squares fit across
-the epsilon grid estimates the convergence rate. The refined mode couples a
-first-order correction to the same replicas and reports both distance sets
-so baseline and refinement can be compared seed for seed.
+The harness simulates M replicas in chunks. One Brownian record drives a
+replica at every epsilon, so each chunk is simulated at all noise levels in
+one step loop, with one fluctuation trace shared by the levels. For each
+epsilon it aligns each noisy path with the deterministic trajectory through
+the good-set time distortion (identity off the good set), records the chosen
+upper bound of the Skorohod distance, and averages its beta-th power. A
+log-log least squares fit across the epsilon grid estimates the convergence
+rate. The refined mode couples a first-order correction to the same replicas
+and reports both distance sets so baseline and refinement can be compared
+seed for seed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ from .system import SystemSpec, integrate_deterministic, simulation_grid
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid, replica budget, moment order, and good-set exponent."""
+    """Grid, replica budget, moment order, and good-set exponent.
+
+    `chunk_size` bounds the paths one step loop advances at once, counted as
+    replicas times epsilon levels; a chunk holds at least one replica.
+    """
 
     eps_grid: tuple
     replicas: int
@@ -152,38 +159,41 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
     det = integrate_deterministic(spec, grid)
     det_arrays = (det.r_values, det.theta_values, det.pre_radii, det.post_radii)
     n_impulses = grid.n_impulses
-    base_rows, refined_rows = [], []
-    for eps in config.eps_grid:
-        delta = eps ** config.nu
+    eps_grid = config.eps_grid
+    deltas = [eps ** config.nu for eps in eps_grid]
+    for eps, delta in zip(eps_grid, deltas):
         if delta >= spec.alpha / 4.0:
             raise ConfigError(f"epsilon {eps} gives delta {delta:.4g} >= alpha/4; "
                               "good-set classification is undefined there")
-        noise = NoiseParams(epsilon=eps, p=config.p, sigma=1, zeta=0.0)
-        base_d = np.empty(config.replicas)
-        refined_d = np.empty(config.replicas) if compute_refined else None
-        bad = 0
-        for offset in range(0, config.replicas, config.chunk_size):
-            count = min(config.chunk_size, config.replicas - offset)
-            batch = simulate_batch(spec, noise, config.horizon, config.dt,
-                                   config.master_seed, count, replica_offset=offset,
-                                   store_increments=compute_refined and not zero_fluctuation)
-            good = good_set_mask(batch.tau, batch.counts, spec.alpha, n_impulses, delta)
-            bad += count - int(np.count_nonzero(good))
-            if compute_refined and not zero_fluctuation:
-                trace = fluctuation_trace(spec, det, batch.w_increments)
-            else:
-                trace = None
-            chunk = slice(offset, offset + count)
-            base_d[chunk], refined = batch_skorohod_upper(
+    levels = tuple(NoiseParams(epsilon=eps, p=config.p, sigma=1, zeta=0.0) for eps in eps_grid)
+    with_trace = compute_refined and not zero_fluctuation
+    base_d = np.empty((len(eps_grid), config.replicas))
+    refined_d = np.empty_like(base_d) if compute_refined else None
+    bad = [0] * len(eps_grid)
+    per_chunk = max(1, config.chunk_size // len(eps_grid))
+    for offset in range(0, config.replicas, per_chunk):
+        count = min(per_chunk, config.replicas - offset)
+        batch = simulate_batch(spec, levels, config.horizon, config.dt, config.master_seed,
+                               count, replica_offset=offset, store_increments=with_trace)
+        trace = fluctuation_trace(spec, det, batch.w_increments) if with_trace else None
+        chunk = slice(offset, offset + count)
+        for e, (eps, delta) in enumerate(zip(eps_grid, deltas)):
+            cols = slice(e * count, (e + 1) * count)
+            good = good_set_mask(batch.tau[cols], batch.counts[cols], spec.alpha,
+                                 n_impulses, delta)
+            bad[e] += count - int(np.count_nonzero(good))
+            base_d[e, chunk], refined = batch_skorohod_upper(
                 grid.times, grid.boundary_indices, spec.alpha, det_arrays,
-                (batch.r_values, batch.theta_values, batch.tau, batch.pre, batch.post,
-                 batch.counts), good, trace, eps)
+                (batch.r_values[:, cols], batch.theta_values[:, cols], batch.tau[cols],
+                 batch.pre[cols], batch.post[cols], batch.counts[cols]), good, trace, eps)
             if compute_refined:
-                refined_d[chunk] = base_d[chunk] if refined is None else refined
-        base_rows.append(_row(eps, base_d ** config.beta, bad))
-        if compute_refined:
-            refined_rows.append(_row(eps, refined_d ** config.beta, bad))
-    return base_rows, refined_rows if compute_refined else None
+                refined_d[e, chunk] = base_d[e, chunk] if refined is None else refined
+        del batch, trace
+    base_rows = [_row(eps, d ** config.beta, b) for eps, d, b in zip(eps_grid, base_d, bad)]
+    if not compute_refined:
+        return base_rows, None
+    return base_rows, [_row(eps, d ** config.beta, b)
+                       for eps, d, b in zip(eps_grid, refined_d, bad)]
 
 
 def lln_experiment(config: ExperimentConfig, spec: SystemSpec) -> ExperimentReport:

@@ -10,7 +10,9 @@ increment is ever reused across an impulse.
 
 Per-replica randomness comes from counter-based generators derived from a
 master seed and the replica index, which makes every result reproducible and
-independent of chunking or scheduling order.
+independent of chunking or scheduling order. The expansion x + epsilon*Z is
+pathwise, so one record drives a replica at every noise level: a batch can
+hold several levels, drawn once and advanced together in one step loop.
 """
 
 from __future__ import annotations
@@ -106,88 +108,115 @@ def default_impulse_cap(alpha: float, horizon: float) -> int:
     return 10 * int(math.ceil(horizon / alpha))
 
 
-def _advance_batch(spec: SystemSpec, noise: NoiseParams, grid: SimulationGrid,
+def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid,
                    w_inc: np.ndarray, b_inc: np.ndarray,
                    aux_w: np.ndarray, aux_b: np.ndarray, n_max: int):
-    """Vectorised step loop over all replicas in the chunk. Returns grid
-    samples, impulse data, and counts. Arrays w_inc/b_inc are (n_steps, M)."""
+    """Vectorised step loop over every replica at every noise level.
+
+    `w_inc`/`b_inc` are the raw (n_steps, M) increments and `aux_w`/`aux_b`
+    the (M, n_max) unit draws of M replicas; `levels` are E ``NoiseParams``
+    sharing `zeta` and `angular_drift`. Column ``e*M + i`` is replica i at
+    level e. Each step proposes ``r + b(r)*h + eps*w[j]`` and
+    ``theta + h + eps^p*b[j]`` for all E*M columns straight into row j+1 of
+    the path arrays; only the columns whose proposed angle reaches alpha go
+    through the impulse loop. Returns grid samples, impulse data and counts.
+    """
     times, steps = grid.times, grid.steps
     n, m = w_inc.shape
-    eps = noise.epsilon
-    eps_ang = noise.angular_scale
-    zeta, f = noise.zeta, noise.angular_drift
+    eps = np.array([lv.epsilon for lv in levels])
+    eps_ang = np.array([lv.angular_scale for lv in levels])
+    eps_col, eps_ang_col = np.repeat(eps, m), np.repeat(eps_ang, m)
+    zeta, f = levels[0].zeta, levels[0].angular_drift
+    tilted = zeta != 0.0 and f is not None
     alpha = grid.alpha
     drift, reset = spec.drift, spec.reset
 
-    r_state = np.full(m, spec.r0)
-    th_state = np.zeros(m)
-    r_path = np.empty((n + 1, m))
-    th_path = np.empty((n + 1, m))
-    r_path[0] = r_state
-    th_path[0] = th_state
-    tau = np.full((m, n_max), np.nan)
-    pre = np.full((m, n_max), np.nan)
-    post = np.full((m, n_max), np.nan)
-    counts = np.zeros(m, dtype=np.int64)
+    c = len(levels) * m
+    r_path = np.empty((n + 1, c))
+    th_path = np.empty((n + 1, c))
+    r_path[0] = spec.r0
+    th_path[0] = 0.0
+    tau = np.full((c, n_max), np.nan)
+    pre = np.full((c, n_max), np.nan)
+    post = np.full((c, n_max), np.nan)
+    counts = np.zeros(c, dtype=np.int64)
 
     for j in range(n):
         h = float(steps[j])
+        r_now, th_now = r_path[j], th_path[j]
+        r_next, th_next = r_path[j + 1], th_path[j + 1]
+        np.multiply(np.asarray(drift(r_now), dtype=float), h, out=r_next)
+        np.add(r_now, r_next, out=r_next)
+        r_next += np.multiply.outer(eps, w_inc[j]).ravel()
+        if tilted:
+            np.add(th_now, h * (1.0 + zeta * np.asarray(f(r_now, th_now), dtype=float)),
+                   out=th_next)
+        else:
+            np.add(th_now, h, out=th_next)
+        th_next += np.multiply.outer(eps_ang, b_inc[j]).ravel()
+        cross = th_next >= alpha
+        if not cross.any():
+            continue
+        idx = np.flatnonzero(cross)
+        # Crossing columns: state at the start of the (remaining) step, its
+        # proposal, and the time left in the step.
+        r_state, th_state = r_now[idx], th_now[idx]
+        r_prop, th_prop = r_next[idx], th_next[idx]
+        rem = np.full(idx.size, h)
         t_end = float(times[j + 1])
-        rem = np.full(m, h)
-        cur_w = eps * w_inc[j]
-        cur_b = eps_ang * b_inc[j]
         while True:
-            active = rem > 0.0
-            r_prop = r_state + np.asarray(drift(r_state), dtype=float) * rem + cur_w
-            if zeta == 0.0 or f is None:
-                th_prop = th_state + rem + cur_b
-            else:
-                th_prop = th_state + rem * (1.0 + zeta * np.asarray(f(r_state, th_state), dtype=float)) + cur_b
-            cross = active & (th_prop >= alpha)
-            finish = active & ~cross
-            if finish.any():
-                r_state[finish] = r_prop[finish]
-                th_state[finish] = th_prop[finish]
-                rem[finish] = 0.0
-            if not cross.any():
-                break
-            idx = np.nonzero(cross)[0]
-            frac = (alpha - th_state[idx]) / (th_prop[idx] - th_state[idx])
+            frac = (alpha - th_state) / (th_prop - th_state)
             k = counts[idx]
             if np.any(k >= n_max):
                 raise RunawayError(f"impulse count exceeded the cap of {n_max}")
-            tau_hit = t_end - rem[idx] * (1.0 - frac)
-            r_pre = r_state[idx] + frac * (r_prop[idx] - r_state[idx])
-            r_post = np.asarray(reset(r_pre), dtype=float)
-            tau[idx, k] = tau_hit
+            tau[idx, k] = t_end - rem * (1.0 - frac)
+            r_pre = r_state + frac * (r_prop - r_state)
+            r_state = np.asarray(reset(r_pre), dtype=float)
+            th_state = np.zeros(idx.size)
             pre[idx, k] = r_pre
-            post[idx, k] = r_post
+            post[idx, k] = r_state
             counts[idx] = k + 1
-            new_rem = (1.0 - frac) * rem[idx]
-            sq = np.sqrt(new_rem)
-            r_state[idx] = r_post
-            th_state[idx] = 0.0
-            rem[idx] = new_rem
-            cur_w = np.zeros(m)
-            cur_b = np.zeros(m)
-            cur_w[idx] = eps * aux_w[idx, k] * sq
-            cur_b[idx] = eps_ang * aux_b[idx, k] * sq
-        r_path[j + 1] = r_state
-        th_path[j + 1] = th_state
+            rem = (1.0 - frac) * rem
+            sq = np.sqrt(rem)
+            replica = idx % m
+            r_prop = r_state + np.asarray(drift(r_state), dtype=float) * rem \
+                + eps_col[idx] * aux_w[replica, k] * sq
+            if tilted:
+                th_prop = th_state + rem * (1.0 + zeta * np.asarray(f(r_state, th_state),
+                                                                   dtype=float))
+            else:
+                th_prop = th_state + rem
+            th_prop = th_prop + eps_ang_col[idx] * aux_b[replica, k] * sq
+            # With no time left (rem = 0) the proposal is the post-impulse
+            # state itself, and its angle 0 does not cross.
+            cross = th_prop >= alpha
+            done = ~cross
+            r_next[idx[done]] = r_prop[done]
+            th_next[idx[done]] = th_prop[done]
+            if not cross.any():
+                break
+            idx, rem = idx[cross], rem[cross]
+            r_state, th_state = r_state[cross], th_state[cross]
+            r_prop, th_prop = r_prop[cross], th_prop[cross]
     return r_path, th_path, tau, pre, post, counts
 
 
 @dataclass(frozen=True, eq=False)
 class BatchResult:
-    """Vectorised simulation output with lazy per-replica object views."""
+    """Vectorised simulation output with lazy per-column object views.
+
+    A batch of M replicas at E noise levels has E*M columns: column
+    ``e*M + i`` is replica ``replica_offset + i`` at level e. The stored
+    increments are per replica, shared by all levels.
+    """
 
     grid: SimulationGrid
-    r_values: np.ndarray       # (n_steps + 1, M)
-    theta_values: np.ndarray   # (n_steps + 1, M)
-    tau: np.ndarray            # (M, n_max), nan padded
+    r_values: np.ndarray       # (n_steps + 1, E*M)
+    theta_values: np.ndarray   # (n_steps + 1, E*M)
+    tau: np.ndarray            # (E*M, n_max), nan padded
     pre: np.ndarray
     post: np.ndarray
-    counts: np.ndarray         # (M,)
+    counts: np.ndarray         # (E*M,)
     master_seed: int
     replica_offset: int
     w_increments: np.ndarray | None = None  # (n_steps, M) when stored
@@ -219,14 +248,25 @@ def _check_stochastic_dt(alpha: float, dt: float) -> None:
         raise ResolutionError("stochastic step size must not exceed alpha/200")
 
 
-def simulate_batch(spec: SystemSpec, noise: NoiseParams, horizon: float, dt: float,
+def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float, dt: float,
                    master_seed: int, n_replicas: int, replica_offset: int = 0,
                    n_max: int | None = None, store_increments: bool = False) -> BatchResult:
     """Simulate replicas `replica_offset .. replica_offset + n_replicas - 1`.
 
-    Results are a pure function of (spec, noise, horizon, dt, master_seed,
-    replica index); chunk boundaries do not affect them.
+    `noise` is one :class:`NoiseParams` or a tuple of noise levels sharing
+    `zeta` and `angular_drift`. Each replica's record is drawn once and
+    drives it at every level, so column ``e*n_replicas + i`` of the result
+    is replica ``replica_offset + i`` at level e, and the stored increments
+    are (n_steps, n_replicas). Results are a pure function of (spec, level,
+    horizon, dt, master_seed, replica index); chunk boundaries and the other
+    levels do not affect them.
     """
+    levels = (noise,) if isinstance(noise, NoiseParams) else tuple(noise)
+    if not levels:
+        raise ParameterError("need at least one noise level")
+    if any(lv.zeta != levels[0].zeta or lv.angular_drift is not levels[0].angular_drift
+           for lv in levels):
+        raise ParameterError("noise levels must share zeta and the angular drift")
     if n_replicas < 1:
         raise ParameterError("need at least one replica")
     _check_stochastic_dt(spec.alpha, dt)
@@ -245,7 +285,7 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams, horizon: float, dt: flo
         aux_w[i] = rec.aux_w
         aux_b[i] = rec.aux_b
     r_path, th_path, tau, pre, post, counts = _advance_batch(
-        spec, noise, grid, w_inc, b_inc, aux_w, aux_b, n_max)
+        spec, levels, grid, w_inc, b_inc, aux_w, aux_b, n_max)
     return BatchResult(grid=grid, r_values=r_path, theta_values=th_path,
                        tau=tau, pre=pre, post=post, counts=counts,
                        master_seed=master_seed, replica_offset=replica_offset,

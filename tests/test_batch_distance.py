@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import impulselab.cadlag as cadlag
@@ -116,6 +116,9 @@ def test_kernel_matches_oracle_on_hand_built_jumps(seed, first, on_grid, inside,
         sorted({times[on_grid], times[3] + c * (times[4] - times[3]), times[6]}),
         [times[14] + b * (times[15] - times[14])],
     ]
+    # Distinct fractions can still round to one jump time (0.01 and
+    # 0.010000000000000002 inside one step), which is no path at all.
+    assume(rows[1][0] < rows[1][1])
     rng = np.random.default_rng(seed)
     m, width = len(rows), 4
     tau = np.full((m, width), np.nan)

@@ -23,7 +23,7 @@ from impulselab import (
     write_path_csv,
 )
 from impulselab.fluctuation import fluctuation_trace
-from impulselab.cli import main
+from impulselab.cli import _with_overrides, build_parser, main
 from impulselab.experiments import EpsilonRow, ExperimentReport, RateFit
 
 
@@ -321,6 +321,30 @@ class TestCliCommands:
             assert main([command, "--seed", "11", "--dt", "0.01",
                          "--out", str(tmp_path / f"{command}.csv")]) == 3
         assert not (tmp_path / "fluctuation.csv").exists()
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("drift", "custom-table\ndrift.params = 0:0, 1:0.1, 1:0.2, 2:0.3",
+         "drift table needs >= 2 strictly increasing abscissae"),
+        ("reset", "linear\nreset.params = -1", "linear reset slope must be positive"),
+        ("reset", "saturating\nreset.params = 0", "saturating reset scale must be positive"),
+        ("reset", "custom-table\nreset.params = 0:0, 1:0.5, 2:0.4, 3:0.6",
+         "reset table values must strictly increase"),
+    ])
+    def test_model_family_error_names_its_key(self, tmp_path, capsys, kind, params, message):
+        cfg = tmp_path / "model.ini"
+        cfg.write_text(f"[model]\n{kind}.kind = {params}\n")
+        assert main(["trajectory", "--config", str(cfg), "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: model.{kind}.params: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "fluctuation"])
+    def test_numerics_overrides_keep_one_copy(self, command):
+        args = build_parser().parse_args([command, "--dt", "0.005", "--horizon", "3.5",
+                                          "--seed", "9", "--out", "x.csv"])
+        cfg = _with_overrides(load_config(None), args)
+        assert (cfg.dt, cfg.horizon, cfg.seed) == (0.005, 3.5, 9)
+        assert (cfg.experiment.dt, cfg.experiment.horizon, cfg.experiment.master_seed) == (
+            0.005, 3.5, 9)
 
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -6,21 +6,31 @@ import numpy as np
 import pytest
 from scipy.stats import invgauss
 
+import impulselab.experiments as experiments
 from impulselab import (
+    BrownianRecord,
     ConfigError,
     DataError,
     ExperimentConfig,
     FptParams,
+    NoiseParams,
     SystemSpec,
     clt_experiment,
     constant_drift,
     fit_rate,
     fpt_cdf,
     good_set_probability_bound,
+    integrate_deterministic,
     ks_test,
     linear_reset,
     lln_experiment,
+    simulate_batch,
+    simulation_grid,
 )
+from impulselab.cadlag import batch_skorohod_upper
+from impulselab.experiments import EpsilonRow
+from impulselab.fluctuation import fluctuation_trace
+from impulselab.stochastic import good_set_mask
 
 ALPHA = float(np.pi / 2)
 
@@ -172,3 +182,82 @@ class TestCltExperiment:
         assert report.mode == "clt"
         assert report.fit is not None and report.baseline_fit is not None
         assert len(report.rows) == len(report.baseline_rows) == 3
+
+
+def per_epsilon_reference(config, spec):
+    """(baseline rows, refined rows) from one single-level batch per epsilon."""
+    grid = simulation_grid(spec.alpha, config.horizon, config.dt)
+    det = integrate_deterministic(spec, grid)
+    base_rows, refined_rows = [], []
+    for eps in config.eps_grid:
+        batch = simulate_batch(spec, NoiseParams(epsilon=eps, p=config.p), config.horizon,
+                               config.dt, config.master_seed, config.replicas,
+                               store_increments=True)
+        good = good_set_mask(batch.tau, batch.counts, spec.alpha, grid.n_impulses,
+                             eps ** config.nu)
+        trace = fluctuation_trace(spec, det, batch.w_increments)
+        distances = batch_skorohod_upper(
+            grid.times, grid.boundary_indices, spec.alpha,
+            (det.r_values, det.theta_values, det.pre_radii, det.post_radii),
+            (batch.r_values, batch.theta_values, batch.tau, batch.pre, batch.post,
+             batch.counts), good, trace, eps)
+        for rows, d in zip((base_rows, refined_rows), distances):
+            powered = d ** config.beta
+            rows.append(EpsilonRow(epsilon=eps, mean_distance=float(np.mean(powered)),
+                                   stderr=float(np.std(powered, ddof=1) / math.sqrt(d.size)),
+                                   bad_freq=int(np.count_nonzero(~good)) / d.size,
+                                   replicas=d.size))
+    return tuple(base_rows), tuple(refined_rows)
+
+
+class TestSharedNoiseDriver:
+    """Each chunk runs every epsilon in one simulation over shared noise."""
+
+    GRID = (0.02, 0.05, 0.1, 0.2)
+
+    @pytest.fixture(scope="class")
+    def reference(self, halving_spec):
+        config = small_config(eps_grid=self.GRID, replicas=9, master_seed=4)
+        base, refined = per_epsilon_reference(config, halving_spec)
+        assert any(row.bad_freq > 0 for row in base)  # the identity distortion is exercised
+        return base, refined
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 250])
+    def test_rows_equal_per_epsilon_reference(self, halving_spec, reference, chunk_size):
+        config = small_config(eps_grid=self.GRID, replicas=9, master_seed=4,
+                              chunk_size=chunk_size)
+        base, refined = reference
+        clt = clt_experiment(config, halving_spec)
+        assert clt.baseline_rows == base
+        assert clt.rows == refined
+        assert lln_experiment(config, halving_spec).rows == base
+
+    @pytest.mark.parametrize("driver", [lln_experiment, clt_experiment])
+    def test_noise_drawn_once_per_replica_and_traced_once_per_chunk(self, halving_spec,
+                                                                    monkeypatch, driver):
+        calls = {"generate": 0, "trace": 0, "batch_columns": []}
+        generate, trace, simulate = (BrownianRecord.generate, experiments.fluctuation_trace,
+                                     experiments.simulate_batch)
+
+        def counting_generate(*args, **kwargs):
+            calls["generate"] += 1
+            return generate(*args, **kwargs)
+
+        def counting_trace(*args, **kwargs):
+            calls["trace"] += 1
+            return trace(*args, **kwargs)
+
+        def recording_simulate(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            calls["batch_columns"].append(len(batch))
+            return batch
+
+        monkeypatch.setattr(BrownianRecord, "generate", staticmethod(counting_generate))
+        monkeypatch.setattr(experiments, "fluctuation_trace", counting_trace)
+        monkeypatch.setattr(experiments, "simulate_batch", recording_simulate)
+        # chunk_size 10 over 4 levels: chunks of 2 replicas, the last one of 1
+        config = small_config(eps_grid=self.GRID, replicas=5, chunk_size=10)
+        driver(config, halving_spec)
+        assert calls["generate"] == 5
+        assert calls["batch_columns"] == [8, 8, 4]
+        assert calls["trace"] == (3 if driver is clt_experiment else 0)

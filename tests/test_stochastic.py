@@ -172,6 +172,128 @@ class TestReproducibility:
         assert uniform_distance(single.path(0), batch.path(2)) == 0.0
 
 
+NARROW = SystemSpec.from_models(constant_drift(0.2), linear_reset(0.5), alpha=1e-3, r0=1.0)
+# Wedge, horizon, step and impulse cap. On the narrow wedge a step is 1/200
+# of alpha, so strong angular noise can cross twice within one step.
+SYSTEMS = {"wedge": (ALPHA, 4.0, ALPHA / 400, None),
+           "narrow": (1e-3, 2.5e-3, 5e-6, 400)}
+BATCH_FIELDS = ("r_values", "theta_values", "tau", "pre", "post", "counts")
+
+
+def level_block(batch, e, m):
+    """Column block of level e in a batch of m replicas per level."""
+    cols = slice(e * m, (e + 1) * m)
+    return {"r_values": batch.r_values[:, cols], "theta_values": batch.theta_values[:, cols],
+            "tau": batch.tau[cols], "pre": batch.pre[cols], "post": batch.post[cols],
+            "counts": batch.counts[cols]}
+
+
+def scalar_replica(spec, level, grid, record):
+    """One replica stepped in plain floats, in simulate_batch's arithmetic
+    order (no angular drift): grid samples of r and theta, and impulse times."""
+    def drift(r):
+        return float(spec.drift(np.array([r]))[0])
+
+    def reset(r):
+        return float(spec.reset(np.array([r]))[0])
+
+    eps, eps_ang, alpha = level.epsilon, level.angular_scale, grid.alpha
+    r, th, k = spec.r0, 0.0, 0
+    rs, ths, taus = [r], [th], []
+    for j, h in enumerate(grid.steps.tolist()):
+        rem, dw, db = h, eps * record.w_increments[j], eps_ang * record.b_increments[j]
+        while rem > 0.0:
+            r_prop = r + drift(r) * rem + dw
+            th_prop = th + rem + db
+            if th_prop < alpha:
+                r, th = r_prop, th_prop
+                break
+            frac = (alpha - th) / (th_prop - th)
+            taus.append(float(grid.times[j + 1]) - rem * (1.0 - frac))
+            r, th = reset(r + frac * (r_prop - r)), 0.0
+            rem = (1.0 - frac) * rem
+            sq = math.sqrt(rem)
+            dw, db = eps * record.aux_w[k] * sq, eps_ang * record.aux_b[k] * sq
+            k += 1
+        rs.append(r)
+        ths.append(th)
+    return np.array(rs), np.array(ths), np.array(taus)
+
+
+class TestNoiseLevels:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 10**6),
+           levels=st.lists(st.tuples(st.sampled_from([0.0, 0.05, 0.2, 0.9]) | st.floats(0.0, 0.95),
+                                     st.sampled_from([1.05, 1.5, 2.0])), min_size=1, max_size=4),
+           sigma=st.sampled_from([0, 1]), tilted=st.booleans(),
+           system=st.sampled_from(sorted(SYSTEMS)))
+    @example(seed=0, offset=0, levels=[(0.0, 2.0), (0.2, 2.0)], sigma=1, tilted=False,
+             system="wedge")
+    @example(seed=4, offset=3, levels=[(0.2, 2.0), (0.5, 1.5)], sigma=1, tilted=True,
+             system="wedge")
+    @example(seed=0, offset=0, levels=[(0.05, 2.0), (0.9, 1.05)], sigma=1, tilted=False,
+             system="narrow")  # two crossings in one step at 0.9
+    def test_each_level_block_equals_a_single_level_batch(self, seed, offset, levels, sigma,
+                                                          tilted, system):
+        alpha, horizon, dt, n_max = SYSTEMS[system]
+        spec = NARROW if system == "narrow" else SystemSpec.from_models(
+            constant_drift(0.2), linear_reset(0.5), alpha=alpha, r0=1.0)
+        drift = dict(zeta=0.5, angular_drift=tilt) if tilted else {}
+        noise = tuple(NoiseParams(epsilon=eps, p=p, sigma=sigma, **drift) for eps, p in levels)
+        run = dict(horizon=horizon, dt=dt, master_seed=seed, n_replicas=3,
+                   replica_offset=offset, n_max=n_max, store_increments=True)
+        joint = simulate_batch(spec, noise, **run)
+        assert len(joint) == 3 * len(noise)
+        for e, level in enumerate(noise):
+            single = simulate_batch(spec, level, **run)
+            np.testing.assert_array_equal(joint.w_increments, single.w_increments)
+            block = level_block(joint, e, 3)
+            for name in BATCH_FIELDS:
+                assert np.array_equal(block[name], getattr(single, name), equal_nan=True), name
+
+    @pytest.mark.parametrize("system, eps", [("wedge", (0.0, 0.2, 0.5)),
+                                             ("narrow", (0.05, 0.9))])
+    def test_columns_equal_a_scalar_step_loop(self, system, eps):
+        alpha, horizon, dt, n_max = SYSTEMS[system]
+        spec = NARROW if system == "narrow" else SystemSpec.from_models(
+            constant_drift(0.2), linear_reset(0.5), alpha=alpha, r0=1.0)
+        levels = tuple(NoiseParams(epsilon=e, p=1.05 if system == "narrow" else 2.0)
+                       for e in eps)
+        # seed 0 at 0.9 crosses twice in one step (next test)
+        batch = simulate_batch(spec, levels, horizon, dt, 0, 3, n_max=n_max)
+        for e, level in enumerate(levels):
+            for i in range(3):
+                record = BrownianRecord.generate(batch.grid, replica_seed_sequence(0, i),
+                                                 batch.tau.shape[1])
+                r, theta, taus = scalar_replica(spec, level, batch.grid, record)
+                col = e * 3 + i
+                np.testing.assert_array_equal(batch.r_values[:, col], r)
+                np.testing.assert_array_equal(batch.theta_values[:, col], theta)
+                np.testing.assert_array_equal(batch.impulse_times(col), taus)
+
+    def test_narrow_wedge_crosses_twice_in_one_step(self):
+        _, horizon, dt, n_max = SYSTEMS["narrow"]
+        batch = simulate_batch(NARROW, NoiseParams(epsilon=0.9, p=1.05), horizon, dt, 0, 3,
+                               n_max=n_max)
+        steps = np.searchsorted(batch.grid.times, batch.tau, side="left")
+        same_step = [np.diff(row[:c]) == 0 for row, c in zip(steps, batch.counts)]
+        assert any(pair.any() for pair in same_step)
+
+    @pytest.mark.parametrize("other", [
+        NoiseParams(epsilon=0.1, p=2.0, zeta=0.5, angular_drift=tilt),
+        NoiseParams(epsilon=0.1, p=2.0, zeta=0.3, angular_drift=lambda r, th: 0.5 * np.sin(th)),
+        NoiseParams(epsilon=0.1, p=2.0, zeta=0.3),
+    ])
+    def test_levels_must_share_the_angular_drift(self, halving_spec, other):
+        first = NoiseParams(epsilon=0.2, p=2.0, zeta=0.3, angular_drift=tilt)
+        with pytest.raises(ParameterError, match="share"):
+            simulate_batch(halving_spec, (first, other), 4.0, ALPHA / 400, 0, 2)
+
+    def test_needs_a_level(self, halving_spec):
+        with pytest.raises(ParameterError):
+            simulate_batch(halving_spec, (), 4.0, ALPHA / 400, 0, 2)
+
+
 class TestPathStructure:
     def test_radius_resets_only_at_impulses(self, halving_spec, noise):
         path, schedule = one_replica(halving_spec, noise, horizon=4.0, dt=ALPHA / 400, seed=12)
