@@ -292,19 +292,95 @@ _POINT_BUDGET = 1 << 15
 _NO_JUMPS = np.empty(0, dtype=np.intp)
 
 
-def _grid_steps(values, pre, post, jump_index, steps):
+def _grid_steps(start, steps, jump_index=_NO_JUMPS, pre=0.0, post=0.0):
     """Start value and slope of every grid step of a path jumping at grid
     indices `jump_index`: the post-jump value starts the step at a jump and
-    the pre-jump value ends the step before it. The extra last entry is the
+    the pre-jump value ends the step before it. `start` holds the grid
+    samples and is overwritten at the jumps. The extra last entry is the
     horizon sample with slope 0, so index j serves every t in
     [times[j], times[j+1]) and t = T."""
-    start = np.array(values, dtype=float)
     start[..., jump_index] = post
-    end = start[..., 1:].copy()
-    end[..., jump_index - 1] = pre
+    end = start[..., 1:]
+    if jump_index.size:
+        end = end.copy()
+        end[..., jump_index - 1] = pre
     slope = np.zeros_like(start)
-    slope[..., :-1] = (end - start[..., :-1]) / steps
+    np.divide(end - start[..., :-1], steps, out=slope[..., :-1])
     return start, slope
+
+
+class _Grid:
+    """The shared grid, the deterministic path on it and the lookup tables,
+    built once per kernel call.
+
+    `locate(t)` is ``np.searchsorted(times, t, side="right") - 1`` by
+    arithmetic. The bucket int(t * scale), clipped to the table, is monotone
+    in t, so grid points in lower buckets lie below t and those in higher
+    buckets above it. The index is then `lo[b]`, the last point below the
+    bucket, plus the number of the bucket's own points that do not exceed t,
+    counted in as many rounds as the fullest bucket has points. That is exact
+    for any increasing `times` with a positive last entry; on a grid at a
+    regular step a bucket holds one or two points.
+    """
+
+    def __init__(self, times, jump_index, alpha, det):
+        n = times.shape[0]
+        self.times, self.alpha = times, alpha
+        self.steps = np.diff(times)
+        self.last = n - 1
+        self.scale = self.last / times[-1]
+        buckets = self._bucket(times)
+        self.lo = np.searchsorted(buckets, np.arange(n)) - 1
+        rounds = np.bincount(buckets).max()
+        padded = np.concatenate([[-np.inf], times, np.full(rounds, np.inf)])
+        # after[k - 1][b]: the k-th grid point after lo[b], or +inf.
+        self.after = [padded[self.lo + k + 1] for k in range(1, rounds + 1)]
+        self.prev, self.next = padded[:n], padded[2:n + 2]
+        self.knots = np.concatenate([[0.0], times[jump_index], [times[-1]]])
+        self.knot_index = np.concatenate([[0], jump_index, [n - 1]])
+        self.jump_index = jump_index
+        jump_order = np.full(n, -1)
+        jump_order[jump_index] = np.arange(jump_index.shape[0])
+        self.jump_order = jump_order
+        self.jump_points = np.flatnonzero(jump_order >= 0)
+        det_r, det_theta, det_pre, det_post = det
+        self.det_r, self.det_pre, self.det_post = det_r, det_pre, det_post
+        self.det = (_grid_steps(det_r.copy(), self.steps, jump_index, det_pre, det_post),
+                    det_pre)
+        self.theta = _grid_steps(det_theta.copy(), self.steps, jump_index, alpha, 0.0)
+
+    def _bucket(self, t):
+        b = (t * self.scale).astype(np.intp)
+        return np.clip(b, 0, self.last, out=b)
+
+    def locate(self, t):
+        """Index of the last grid point at or below each t."""
+        b = self._bucket(t)
+        j = self.lo.take(b)
+        for after in self.after:
+            j += after.take(b) <= t
+        return j
+
+    def locate_near(self, u):
+        """locate(u) for u of shape (rows, n) whose column i is expected in
+        [times[i-1], times[i+1]), where the index is i - (u < times[i]).
+        Entries outside that bracket go through locate."""
+        j = np.arange(self.times.shape[0]) - (u < self.times)
+        off = np.flatnonzero((u < self.prev) | (u >= self.next))
+        if off.size:
+            j.ravel()[off] = self.locate(u.ravel()[off])
+        return j
+
+    def first_order(self, trace, levels, columns, per_level):
+        """Grid steps and pre-jump radii of det + epsilon * trace for the
+        given columns; column c reads trace column c mod per_level at level
+        levels[c // per_level]."""
+        eps = levels[columns // per_level, None]
+        values, pre, post = (a[:, columns % per_level].T for a in trace)
+        fo_pre = self.det_pre + eps * pre
+        start = np.add(self.det_r, eps * values, order="C")
+        return (_grid_steps(start, self.steps, self.jump_index, fo_pre,
+                            self.det_post + eps * post), fo_pre)
 
 
 class _ReplicaBlock:
@@ -315,13 +391,14 @@ class _ReplicaBlock:
     skorohod_upper on the path objects.
     """
 
-    def __init__(self, times, steps, knots, alpha, r, theta, tau, pre, post, counts, good):
-        self.times, self.knots, self.alpha, self.good = times, knots, alpha, good
+    def __init__(self, grid, r, theta, tau, pre, post, counts, good):
+        self.grid, self.good = grid, good
+        knots = grid.knots
         size, n_points = r.shape
         self.offsets = (np.arange(size) * n_points)[:, None]
         self.knot_offsets = (np.arange(size) * knots.shape[0])[:, None]
-        self.r = _grid_steps(r, 0.0, 0.0, _NO_JUMPS, steps)
-        self.theta = _grid_steps(theta, 0.0, 0.0, _NO_JUMPS, steps)
+        self.r = _grid_steps(r, grid.steps)
+        self.theta = _grid_steps(theta, grid.steps)
         # Good rows map the deterministic jump times onto their noisy twins;
         # the others keep the identity, whose arithmetic is exact.
         kv = np.tile(knots, (size, 1))
@@ -338,18 +415,33 @@ class _ReplicaBlock:
         # do the grid samples not describe the noisy path.
         rows, cols = np.nonzero(np.arange(width) < counts[:, None])
         jumps = self.tau[rows, cols]
-        step = np.searchsorted(times, jumps, side="right") - 1
+        step = grid.locate(jumps)
         self.flag = np.zeros((size, n_points), dtype=bool)
         self.flag[rows, step] = True
-        on_grid = (times[step] == jumps) & (step > 0)
+        on_grid = (grid.times[step] == jumps) & (step > 0)
         self.flag[rows[on_grid], step[on_grid] - 1] = True
 
     def lam(self, t):
-        """lambda(t) row by row; t is (rows, k), or (k,) shared by all rows."""
-        j = np.searchsorted(self.knots, t, side="right") - 1
+        """lambda(t) row by row; t is (rows, k), inside [0, T]."""
+        knots = self.grid.knots
+        j = np.zeros(t.shape, dtype=np.intp)
+        for knot in knots[1:]:
+            j += t >= knot
         flat = self.knot_offsets + j
-        u = self.forward.take(flat) * (t - self.knots[j]) + self.kv.take(flat)
+        u = self.forward.take(flat) * (t - knots[j]) + self.kv.take(flat)
         return np.where(self.good[:, None], u, t)
+
+    def lam_grid(self):
+        """lambda on the grid, one knot interval of grid points at a time."""
+        grid = self.grid
+        u = np.empty((self.good.shape[0], grid.times.shape[0]))
+        bounds = grid.knot_index
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.multiply(self.forward[:, k:k + 1], grid.times[a:b] - grid.knots[k], out=u[:, a:b])
+            u[:, a:b] += self.kv[:, k:k + 1]
+        u[:, -1] = self.kv[:, -1]
+        np.copyto(u, grid.times, where=~self.good[:, None])
+        return u
 
     def lam_inv(self, s):
         """lambda^{-1}(s) row by row."""
@@ -357,15 +449,17 @@ class _ReplicaBlock:
         for c in range(1, self.kv.shape[1]):
             j += s >= self.kv[:, c:c + 1]
         flat = self.knot_offsets + j
-        t = self.backward.take(flat) * (s - self.kv.take(flat)) + self.knots[j]
+        t = self.backward.take(flat) * (s - self.kv.take(flat)) + self.grid.knots[j]
         return np.where(self.good[:, None], t, s)
 
-    def noisy_at(self, u):
+    def noisy_at(self, u, near_grid=False):
         """Right values of the noisy paths at u, plus the flat indices where u
-        is a noisy jump time and the radius just before that jump."""
-        j = np.searchsorted(self.times, u, side="right") - 1
+        is a noisy jump time and the radius just before that jump. near_grid
+        says column i of u lies next to grid point i."""
+        times = self.grid.times
+        j = self.grid.locate_near(u) if near_grid else self.grid.locate(u)
         flat = self.offsets + j
-        du = u - self.times[j]
+        du = u - times[j]
         (r0, r_slope), (th0, th_slope) = self.r, self.theta
         r = r_slope.take(flat) * du + r0.take(flat)
         th = th_slope.take(flat) * du + th0.take(flat)
@@ -383,51 +477,63 @@ class _ReplicaBlock:
         prev, nxt = np.maximum(k - 1, 0), np.minimum(k, taus.shape[1] - 1)
         start = np.where(k > 0, taus[col, prev], -np.inf)
         end = np.where(k < cnt, taus[col, nxt], np.inf)
-        j_next = np.minimum(jq + 1, self.times.shape[0] - 1)
-        from_jump = start >= self.times[jq]
-        to_jump = end <= self.times[j_next]
-        t_left = np.where(from_jump, start, self.times[jq])
-        t_right = np.where(to_jump, end, self.times[j_next])
+        j_next = np.minimum(jq + 1, times.shape[0] - 1)
+        from_jump = start >= times[jq]
+        to_jump = end <= times[j_next]
+        t_left = np.where(from_jump, start, times[jq])
+        t_right = np.where(to_jump, end, times[j_next])
         left, right = flat.ravel()[fix], flat.ravel()[fix] - jq + j_next
         with np.errstate(divide="ignore", invalid="ignore"):
-            for values, (grid, _), at_start, at_end in (
+            for values, (samples, _), at_start, at_end in (
                     (r, self.r, self.post[row, prev], self.pre[row, nxt]),
-                    (th, self.theta, 0.0, self.alpha)):
-                y_left = np.where(from_jump, at_start, grid.take(left))
-                y_right = np.where(to_jump, at_end, grid.take(right))
+                    (th, self.theta, 0.0, self.grid.alpha)):
+                y_left = np.where(from_jump, at_start, samples.take(left))
+                y_right = np.where(to_jump, at_end, samples.take(right))
                 slope = (y_right - y_left) / (t_right - t_left)
                 values.ravel()[fix] = np.where(uq == t_left, y_left,
                                                slope * (uq - t_left) + y_left)
         at_jump = (k > 0) & (uq == start)
         return r, th, fix[at_jump], self.pre[row, prev][at_jump]
 
-    def scan(self, t, firsts, theta_steps, jump_order, sup2):
+    def first_at(self, t, firsts):
+        """Right values of the first paths and the angle at t, of shape
+        (rows, k), plus the flat indices where t is a deterministic jump time
+        and the order of that jump."""
+        grid = self.grid
+        (th0, th_slope), jump_order = grid.theta, grid.jump_order
+        j1 = grid.locate(t)
+        d1 = t - grid.times[j1]
+        th1 = th_slope[j1] * d1 + th0[j1]
+        r1 = []
+        for (start, slope), _ in firsts:
+            if start.ndim == 1:
+                r1.append(slope[j1] * d1 + start[j1])
+            else:
+                idx = self.offsets + j1
+                r1.append(slope.take(idx) * d1 + start.take(idx))
+        on_grid = np.flatnonzero(d1 == 0)
+        order = jump_order[j1.ravel()[on_grid]]
+        return r1, th1, on_grid[order >= 0], order[order >= 0]
+
+    def scan(self, t, firsts, sup2, near_grid=False):
         """Fold sup |x1(t) - x2(lambda(t))|^2 over one query array into `sup2`,
-        one entry per first path. t=None means the grid itself."""
+        one entry per first path. t=None means the grid itself; near_grid
+        means lambda(t) lands next to the grid point of its column, as it does
+        for t = lambda^-1(grid)."""
+        grid = self.grid
         if t is None:
-            t = self.times
-            r1 = [steps[0] for steps, _ in firsts]
-            th1 = theta_steps[0]
+            t = grid.times
             width = t.shape[0]
-            jumps1 = (self.offsets + np.flatnonzero(jump_order >= 0)).ravel()
-            order1 = np.tile(jump_order[jump_order >= 0], self.good.shape[0])
+            r1 = [steps[0] for steps, _ in firsts]
+            th1 = grid.theta[0]
+            jumps1 = (self.offsets + grid.jump_points).ravel()
+            order1 = np.tile(grid.jump_order[grid.jump_points], self.good.shape[0])
+            u = self.lam_grid()
         else:
             width = t.shape[1]
-            j1 = np.searchsorted(self.times, t, side="right") - 1
-            d1 = t - self.times[j1]
-            th1 = theta_steps[1][j1] * d1 + theta_steps[0][j1]
-            r1 = []
-            for (start, slope), _ in firsts:
-                if start.ndim == 1:
-                    r1.append(slope[j1] * d1 + start[j1])
-                else:
-                    idx = self.offsets + j1
-                    r1.append(slope.take(idx) * d1 + start.take(idx))
-            on_grid = np.flatnonzero(d1 == 0)
-            order = jump_order[j1.ravel()[on_grid]]
-            jumps1, order1 = on_grid[order >= 0], order[order >= 0]
-        u = self.lam(t)
-        r2, th2, jumps2, pre2 = self.noisy_at(u)
+            r1, th1, jumps1, order1 = self.first_at(t, firsts)
+            u = self.lam(t)
+        r2, th2, jumps2, pre2 = self.noisy_at(u, near_grid)
         dth = th1 - th2
         dth2 = dth * dth
         for s2, r in zip(sup2, r1):
@@ -441,11 +547,11 @@ class _ReplicaBlock:
         at1 = np.searchsorted(points, jumps1)
         at2 = np.searchsorted(points, jumps2)
         th1_left = _pick(th1, points, width)
-        th1_left[at1] = self.alpha
+        th1_left[at1] = grid.alpha
         r2_left = r2.ravel()[points]
         r2_left[at2] = pre2
         th2_left = th2.ravel()[points]
-        th2_left[at2] = self.alpha
+        th2_left[at2] = grid.alpha
         dth = th1_left - th2_left
         for s2, r, (_, pre1) in zip(sup2, r1, firsts):
             r1_left = _pick(r, points, width)
@@ -460,7 +566,7 @@ def _pick(a, flat, width):
 
 
 def batch_skorohod_upper(times, jump_index, alpha, det, noisy, good, trace=None,
-                         epsilon: float = 0.0):
+                         epsilon=0.0):
     """:func:`skorohod_upper` for a batch of planar replicas on one shared grid.
 
     Every path is sampled on `times` (the grid, ending at the horizon) and
@@ -468,58 +574,59 @@ def batch_skorohod_upper(times, jump_index, alpha, det, noisy, good, trace=None,
     jump. `det = (r, theta, pre, post)` is the deterministic path: grid
     samples, and the radii just before and after its jumps, which sit at the
     grid indices `jump_index`. `noisy = (r, theta, tau, pre, post, counts)`
-    holds M replicas laid out as in ``BatchResult``: grid samples of shape
-    (n + 1, M), impulse arrays of shape (M, n_max) valid up to `counts`.
-    Replica i is compared under the aligning distortion through
-    (times[jump_index], tau[i]) when `good[i]`, else under the identity.
+    holds the noisy columns laid out as in ``BatchResult``: grid samples of
+    shape (n + 1, C), impulse arrays of shape (C, n_max) valid up to
+    `counts`. Column c is compared under the aligning distortion through
+    (times[jump_index], tau[c]) when `good[c]`, else under the identity.
 
-    Returns ``(to_det, to_first_order)``, each of shape (M,). The second
-    compares with the first-order path ``det + epsilon * trace`` in the
-    radius, where ``trace = (values, pre, post)`` is the output of
-    ``fluctuation_trace``; it is None without a trace. Each entry equals
+    `epsilon` is one noise level or a tuple of E levels. With E levels the
+    C = E * M columns follow the layout of a multi-level ``simulate_batch``:
+    column ``e * M + i`` is replica i at level ``epsilon[e]``.
+
+    Returns ``(to_det, to_first_order)``, each of shape (C,). The second
+    compares column ``e * M + i`` with the first-order path
+    ``det + epsilon[e] * trace[:, i]`` in the radius, where
+    ``trace = (values, pre, post)`` is the output of ``fluctuation_trace``
+    for the M replicas; it is None without a trace. Each entry equals
     ``skorohod_upper`` on the corresponding path objects, because the sup
     runs over the same points, grid ∪ λ⁻¹(grid ∪ tau) ∪ knots, with right
     values everywhere and left limits at the jump points.
     """
     times = np.asarray(times, dtype=float)
     jump_index = np.asarray(jump_index, dtype=np.intp)
-    det_r, det_theta, det_pre, det_post = (np.asarray(a, dtype=float) for a in det)
     r_values, theta_values, tau, pre, post, counts = noisy
     tau, counts, good = np.asarray(tau, dtype=float), np.asarray(counts), np.asarray(good, bool)
+    pre, post = np.asarray(pre, dtype=float), np.asarray(post, dtype=float)
+    levels = np.atleast_1d(np.asarray(epsilon, dtype=float))
+    m = counts.shape[0]
+    if levels.ndim != 1 or m % levels.shape[0]:
+        raise InvalidInputError("the noisy columns must split evenly over the noise levels")
+    per_level = m // levels.shape[0]
     n_points, n_jumps = times.shape[0], jump_index.shape[0]
-    knots = np.concatenate([[0.0], times[jump_index], [times[-1]]])
     if good.any():
         legs = np.diff(tau[good, :n_jumps], axis=1, prepend=0.0, append=times[-1])
         if np.any(counts[good] != n_jumps) or not np.all(legs > 0):
             raise InvalidInputError("a good replica needs one increasing impulse time per "
                                     "deterministic jump, inside (0, T)")
-    steps = np.diff(times)
-    det_steps = _grid_steps(det_r, det_pre, det_post, jump_index, steps)
-    th0, th_slope = _grid_steps(det_theta, alpha, 0.0, jump_index, steps)
-    jump_order = np.full(n_points, -1)
-    jump_order[jump_index] = np.arange(n_jumps)
-    m = counts.shape[0]
+    grid = _Grid(times, jump_index, alpha, tuple(np.asarray(a, dtype=float) for a in det))
+    if trace is not None:
+        trace = tuple(np.asarray(a, dtype=float) for a in trace)
     out = [np.empty(m) for _ in range(1 if trace is None else 2)]
     size = max(1, _POINT_BUDGET // n_points)
     for lo in range(0, m, size):
         rows = slice(lo, min(m, lo + size))
-        block = _ReplicaBlock(times, steps, knots, alpha,
-                              np.ascontiguousarray(r_values[:, rows].T),
+        block = _ReplicaBlock(grid, np.ascontiguousarray(r_values[:, rows].T),
                               np.ascontiguousarray(theta_values[:, rows].T),
-                              tau[rows], np.asarray(pre)[rows], np.asarray(post)[rows],
-                              counts[rows], good[rows])
-        firsts = [(det_steps, det_pre)]
+                              tau[rows], pre[rows], post[rows], counts[rows], good[rows])
+        firsts = [grid.det]
         if trace is not None:
-            values, t_pre, t_post = (np.asarray(a, dtype=float)[:, rows].T for a in trace)
-            fo_pre = det_pre + epsilon * t_pre
-            firsts.append((_grid_steps(det_r + epsilon * values, fo_pre,
-                                       det_post + epsilon * t_post, jump_index, steps), fo_pre))
+            firsts.append(grid.first_order(trace, levels, np.arange(lo, rows.stop), per_level))
         sup2 = [np.zeros(block.good.shape[0]) for _ in firsts]
         # grid, lambda^-1(grid), lambda^-1(tau); unused impulse slots query t = 0.
         valid = np.arange(block.tau.shape[1]) < block.counts[:, None]
-        inv_tau = block.lam_inv(np.where(valid, block.tau, 0.0))
-        for t in (None, block.lam_inv(times), inv_tau):
-            block.scan(t, firsts, (th0, th_slope), jump_order, sup2)
+        block.scan(None, firsts, sup2)
+        block.scan(block.lam_inv(times), firsts, sup2, near_grid=True)
+        block.scan(block.lam_inv(np.where(valid, block.tau, 0.0)), firsts, sup2)
         for dest, s2 in zip(out, sup2):
             dest[rows] = np.maximum(block.cost, np.sqrt(s2))
     return out[0], (out[1] if trace is not None else None)

@@ -2,10 +2,11 @@
 
 The harness simulates M replicas in chunks. One Brownian record drives a
 replica at every epsilon, so each chunk is simulated at all noise levels in
-one step loop, with one fluctuation trace shared by the levels. For each
-epsilon it aligns each noisy path with the deterministic trajectory through
-the good-set time distortion (identity off the good set), records the chosen
-upper bound of the Skorohod distance, and averages its beta-th power. A
+one step loop, with one fluctuation trace shared by the levels, and scored at
+all levels in one distance call. Each noisy path is aligned with the
+deterministic trajectory through the good-set time distortion of its epsilon
+(identity off the good set); the driver records the chosen upper bound of
+the Skorohod distance and averages its beta-th power per epsilon. A
 log-log least squares fit across the epsilon grid estimates the convergence
 rate. The refined mode couples a first-order correction to the same replicas
 and reports both distance sets so baseline and refinement can be compared
@@ -34,8 +35,9 @@ from .system import SystemSpec, integrate_deterministic, simulation_grid
 class ExperimentConfig:
     """Grid, replica budget, moment order, and good-set exponent.
 
-    `chunk_size` bounds the paths one step loop advances at once, counted as
-    replicas times epsilon levels; a chunk holds at least one replica.
+    `chunk_size` bounds the paths one step loop advances and one distance
+    call scores at once, counted as replicas times epsilon levels; a chunk
+    holds at least one replica.
     """
 
     eps_grid: tuple
@@ -177,17 +179,19 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
                                count, replica_offset=offset, store_increments=with_trace)
         trace = fluctuation_trace(spec, det, batch.w_increments) if with_trace else None
         chunk = slice(offset, offset + count)
-        for e, (eps, delta) in enumerate(zip(eps_grid, deltas)):
+        good = []
+        for e, delta in enumerate(deltas):
             cols = slice(e * count, (e + 1) * count)
-            good = good_set_mask(batch.tau[cols], batch.counts[cols], spec.alpha,
-                                 n_impulses, delta)
-            bad[e] += count - int(np.count_nonzero(good))
-            base_d[e, chunk], refined = batch_skorohod_upper(
-                grid.times, grid.boundary_indices, spec.alpha, det_arrays,
-                (batch.r_values[:, cols], batch.theta_values[:, cols], batch.tau[cols],
-                 batch.pre[cols], batch.post[cols], batch.counts[cols]), good, trace, eps)
-            if compute_refined:
-                refined_d[e, chunk] = base_d[e, chunk] if refined is None else refined
+            good.append(good_set_mask(batch.tau[cols], batch.counts[cols], spec.alpha,
+                                      n_impulses, delta))
+            bad[e] += count - int(np.count_nonzero(good[-1]))
+        base, refined = batch_skorohod_upper(
+            grid.times, grid.boundary_indices, spec.alpha, det_arrays,
+            (batch.r_values, batch.theta_values, batch.tau, batch.pre, batch.post,
+             batch.counts), np.concatenate(good), trace, eps_grid)
+        base_d[:, chunk] = base.reshape(-1, count)
+        if compute_refined:
+            refined_d[:, chunk] = (base if refined is None else refined).reshape(-1, count)
         del batch, trace
     base_rows = [_row(eps, d ** config.beta, b) for eps, d, b in zip(eps_grid, base_d, bad)]
     if not compute_refined:
