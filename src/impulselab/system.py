@@ -10,6 +10,7 @@ scheme whose final partial step lands on each impulse time exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +26,11 @@ _PROBE_POINTS = 161
 
 @dataclass(frozen=True)
 class DriftModel:
-    """Radial drift callable with its derivative and a uniform bound."""
+    """Radial drift callable with its derivative and a uniform bound.
+
+    The built-in families' ``fn`` answers a float (numpy float64 included)
+    with a float and an array with an array, with the same bits either way.
+    """
 
     fn: Callable
     derivative: Callable
@@ -44,7 +49,8 @@ class ResetModel:
 def constant_drift(c: float) -> DriftModel:
     """b(r) = c. The bound |c| also covers the (zero) derivatives."""
     c = float(c)
-    return DriftModel(fn=lambda r: np.full_like(np.asarray(r, dtype=float), c),
+    return DriftModel(fn=lambda r: c if isinstance(r, float)
+                      else np.full_like(np.asarray(r, dtype=float), c),
                       derivative=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                       bound=abs(c))
 
@@ -105,8 +111,19 @@ def table_drift(points) -> DriftModel:
     interp = PchipInterpolator(xs, ys, extrapolate=False)
     deriv_in = interp.derivative()
     lo, hi = float(xs[0]), float(xs[-1])
+    # Plain-float copy of the interpolant for scalar calls; + 0.0 turns a -0.0
+    # coefficient into the +0.0 that scipy's sum starts from.
+    knots = interp.x.tolist()
+    c0, c1, c2, c3 = (interp.c + 0.0).tolist()
+    last = len(knots) - 2
 
     def fn(r):
+        if isinstance(r, float):
+            # np.clip, scipy's piece search and its power sum, in that order.
+            r = min(max(float(r), lo), hi)
+            j = min(bisect_right(knots, r) - 1, last)
+            s = r - knots[j]
+            return c3[j] + c2[j] * s + c1[j] * (s * s) + c0[j] * ((s * s) * s)
         return np.asarray(interp(np.clip(r, lo, hi)), dtype=float)
 
     def derivative(r):
@@ -163,8 +180,10 @@ def table_reset(points) -> ResetModel:
 class SystemSpec:
     """Immutable description of one impulsive system instance.
 
-    Callables must accept numpy arrays. Bounds are spot-checked on a sample
-    grid at construction; they are trusted thereafter.
+    Callables must accept numpy arrays, and the drift also numpy float64
+    scalars: `integrate_deterministic` calls it on one float64 per RK4 stage.
+    Bounds are spot-checked on a sample grid at construction; they are trusted
+    thereafter.
     """
 
     drift: Callable

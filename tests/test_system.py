@@ -1,7 +1,12 @@
 """Deterministic impulsive dynamics: spec validation and integration."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impulselab import (
     HorizonError,
@@ -11,8 +16,10 @@ from impulselab import (
     constant_drift,
     deterministic_trajectory,
     impact_count,
+    integrate_deterministic,
     linear_reset,
     saturating_reset,
+    simulation_grid,
     table_drift,
     table_reset,
     tanh_drift,
@@ -166,6 +173,34 @@ class TestDeterministicTrajectory:
         np.testing.assert_array_equal(path.jump_times, schedule.times)
 
 
+# sha256 of `integrate_deterministic(...).r_values.tobytes()` at alpha = pi/2,
+# r0 = 1, T = 4, dt = 1e-3, recorded when every drift call still went through
+# the array path.
+_PINNED_R_VALUES = {
+    "table": "9f8ff670bcd38b5bf6eabb26fe79848122f865b3fce8b55afeefaa06c347b432",
+    "acceptance": "d63318989481c6ed7365faa6038113d22a44b15ed89f47f0d50fd83236cd8102",
+}
+
+
+@pytest.mark.parametrize("model", sorted(_PINNED_R_VALUES))
+def test_rk4_solution_is_pinned(model):
+    if model == "table":
+        drift = table_drift([(0, 0.25), (0.5, 0.22), (1, 0.2), (2, 0.15), (4, 0.1)])
+        reset = table_reset([(0.25, 0.125), (0.5, 0.25), (1, 0.45), (2, 0.8)])
+    else:
+        drift, reset = constant_drift(0.2), linear_reset(0.5)
+    spec = SystemSpec.from_models(drift, reset, alpha=np.pi / 2, r0=1.0)
+    # The same system with every drift call forced through the array path.
+    forced = dataclasses.replace(
+        spec, drift=lambda r: drift.fn(np.atleast_1d(r)).reshape(np.shape(r)))
+    grid = simulation_grid(np.pi / 2, 4.0, 1e-3)
+    sol, ref = integrate_deterministic(spec, grid), integrate_deterministic(forced, grid)
+    for name in ("r_values", "pre_radii", "post_radii"):
+        np.testing.assert_array_equal(getattr(sol, name).view(np.int64),
+                                      getattr(ref, name).view(np.int64))
+    assert hashlib.sha256(sol.r_values.tobytes()).hexdigest() == _PINNED_R_VALUES[model]
+
+
 class TestTableModels:
     def test_table_spec_integrates(self):
         drift = table_drift([(-2.0, -0.3), (0.0, 0.0), (1.0, 0.15), (2.0, 0.25), (3.0, 0.3)])
@@ -179,6 +214,34 @@ class TestTableModels:
         drift = table_drift([(0.0, 0.0), (1.0, 0.15), (2.0, 0.25)])
         np.testing.assert_allclose(drift.fn(np.array([0.0, 1.0, 2.0])),
                                    [0.0, 0.15, 0.25], atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+           table=st.lists(st.tuples(st.floats(1e-3, 3.0),
+                                    st.one_of(st.just(-0.0),
+                                              st.integers(-2000, 2000).map(lambda k: k / 1000))),
+                          min_size=2, max_size=12),
+           c=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           randoms=st.lists(st.floats(-20.0, 20.0), max_size=20))
+    # A -0.0 value at a 0.0 abscissa, queried at -0.0: scipy's sum gives +0.0.
+    @example(start=0.0, table=[(1.0, -0.0), (1.0, 1.0), (1.0, -1.0)], c=0.0, randoms=[])
+    def test_float_path_matches_array_path(self, start, table, c, randoms):
+        # Gaps of at least 1e-3 keep the abscissae strictly increasing; the
+        # first pair's gap is unused.
+        xs = (start + np.cumsum([0.0] + [g for g, _ in table[1:]])).tolist()
+        drift = table_drift(zip(xs, [y for _, y in table]))
+        queries = [*xs, *np.nextafter(xs, -np.inf), *np.nextafter(xs, np.inf), -0.0,
+                   xs[0] - 1.0, xs[-1] + 1.0, -1e300, 1e300, np.nan, *randoms]
+        for model in (drift, constant_drift(c)):
+            for q in queries:
+                expected = model.fn(np.array([q]))[0]
+                for arg in (float(q), np.float64(q)):
+                    got = model.fn(arg)
+                    assert isinstance(got, float)
+                    if np.isnan(expected):
+                        assert np.isnan(got), (q, arg)
+                    else:
+                        assert np.float64(got).view(np.int64) == expected.view(np.int64), (q, arg)
 
     def test_reset_table_odd_extension(self):
         reset = table_reset([(0.0, 0.0), (1.0, 0.45), (3.0, 1.1)])
