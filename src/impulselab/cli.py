@@ -78,7 +78,8 @@ class RunConfig:
     """Validated bundle of system, noise, numerics, and experiment settings."""
 
     system: SystemSpec
-    noise: NoiseParams
+    epsilon: float
+    sigma: int
     mode: str
     experiment: ExperimentConfig
 
@@ -88,7 +89,12 @@ class RunConfig:
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {', '.join(_MODES)}", field="mode")
 
-    # [numerics] lives in `experiment` alone; every subcommand reads it here.
+    # [numerics] and noise.p live in `experiment` alone; every subcommand
+    # reads them here.
+    @property
+    def noise(self) -> NoiseParams:
+        return NoiseParams(epsilon=self.epsilon, p=self.experiment.p, sigma=self.sigma)
+
     @property
     def dt(self) -> float:
         return self.experiment.dt
@@ -197,8 +203,8 @@ def load_config(path: str | None) -> RunConfig:
                                       beta=intval("experiment", "beta"),
                                       nu=floatval("experiment", "nu"), p=p, dt=dt,
                                       horizon=horizon, master_seed=seed)
-        return RunConfig(system=system, noise=noise, mode=raw("experiment", "mode"),
-                         experiment=experiment)
+        return RunConfig(system=system, epsilon=noise.epsilon, sigma=noise.sigma,
+                         mode=raw("experiment", "mode"), experiment=experiment)
 
 
 def _json_ready(value):
@@ -310,9 +316,11 @@ def _with_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         numerics["master_seed"] = args.seed
     with _config_errors():
+        # NoiseParams first, so that a bad --p is reported as noise.p.
         noise = replace(cfg.noise, **given("epsilon", "p", "sigma"))
-        experiment = replace(cfg.experiment, **numerics)
-        return replace(cfg, noise=noise, experiment=experiment, **given("mode"))
+        experiment = replace(cfg.experiment, p=noise.p, **numerics)
+        return replace(cfg, epsilon=noise.epsilon, sigma=noise.sigma, experiment=experiment,
+                       **given("mode"))
 
 
 def _cmd_trajectory(args) -> int:

@@ -112,11 +112,8 @@ def fit_rate(points) -> RateFit:
     n = x.shape[0]
     (slope, intercept), residuals, *_ = np.polyfit(x, y, 1, full=True)
     sxx = float(np.sum((x - x.mean()) ** 2))
-    if n > 2:
-        rss = float(residuals[0]) if residuals.size else float(np.sum((y - slope * x - intercept) ** 2))
-        stderr = math.sqrt(rss / (n - 2) / sxx)
-    else:
-        stderr = 0.0
+    rss = float(residuals[0]) if residuals.size else float(np.sum((y - slope * x - intercept) ** 2))
+    stderr = math.sqrt(rss / (n - 2) / sxx)
     return RateFit(slope=float(slope), intercept=float(intercept), slope_stderr=stderr)
 
 
@@ -154,8 +151,7 @@ def _maybe_fit(rows) -> RateFit | None:
     return fit_rate([(r.epsilon, r.mean_distance) for r in rows])
 
 
-def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
-         zero_fluctuation: bool):
+def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool):
     """Shared driver. Returns (baseline rows, refined rows or None)."""
     grid = simulation_grid(spec.alpha, config.horizon, config.dt)
     det = integrate_deterministic(spec, grid)
@@ -167,8 +163,7 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
         if delta >= spec.alpha / 4.0:
             raise ConfigError(f"epsilon {eps} gives delta {delta:.4g} >= alpha/4; "
                               "good-set classification is undefined there")
-    levels = tuple(NoiseParams(epsilon=eps, p=config.p, sigma=1, zeta=0.0) for eps in eps_grid)
-    with_trace = compute_refined and not zero_fluctuation
+    levels = tuple(NoiseParams(epsilon=eps, p=config.p, sigma=1) for eps in eps_grid)
     base_d = np.empty((len(eps_grid), config.replicas))
     refined_d = np.empty_like(base_d) if compute_refined else None
     bad = [0] * len(eps_grid)
@@ -176,8 +171,8 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
     for offset in range(0, config.replicas, per_chunk):
         count = min(per_chunk, config.replicas - offset)
         batch = simulate_batch(spec, levels, config.horizon, config.dt, config.master_seed,
-                               count, replica_offset=offset, store_increments=with_trace)
-        trace = fluctuation_trace(spec, det, batch.w_increments) if with_trace else None
+                               count, replica_offset=offset, store_increments=compute_refined)
+        trace = fluctuation_trace(spec, det, batch.w_increments) if compute_refined else None
         chunk = slice(offset, offset + count)
         good = []
         for e, delta in enumerate(deltas):
@@ -191,7 +186,7 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
              batch.counts), np.concatenate(good), trace, eps_grid)
         base_d[:, chunk] = base.reshape(-1, count)
         if compute_refined:
-            refined_d[:, chunk] = (base if refined is None else refined).reshape(-1, count)
+            refined_d[:, chunk] = refined.reshape(-1, count)
         del batch, trace
     base_rows = [_row(eps, d ** config.beta, b) for eps, d, b in zip(eps_grid, base_d, bad)]
     if not compute_refined:
@@ -202,21 +197,15 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool,
 
 def lln_experiment(config: ExperimentConfig, spec: SystemSpec) -> ExperimentReport:
     """Distance between the noisy path and the deterministic trajectory."""
-    rows, _ = _run(config, spec, compute_refined=False, zero_fluctuation=False)
+    rows, _ = _run(config, spec, compute_refined=False)
     return ExperimentReport(mode="lln", beta=config.beta, nu=config.nu, p=config.p,
                             seed=config.master_seed, rows=tuple(rows),
                             fit=_maybe_fit(rows))
 
 
-def clt_experiment(config: ExperimentConfig, spec: SystemSpec,
-                   zero_fluctuation: bool = False) -> ExperimentReport:
-    """Distance to the first-order refinement, with the baseline alongside.
-
-    `zero_fluctuation` forces the correction to zero; the refined numbers then
-    reproduce the baseline exactly (diagnostic degeneracy).
-    """
-    base_rows, refined_rows = _run(config, spec, compute_refined=True,
-                                   zero_fluctuation=zero_fluctuation)
+def clt_experiment(config: ExperimentConfig, spec: SystemSpec) -> ExperimentReport:
+    """Distance to the first-order refinement, with the baseline alongside."""
+    base_rows, refined_rows = _run(config, spec, compute_refined=True)
     return ExperimentReport(mode="clt", beta=config.beta, nu=config.nu, p=config.p,
                             seed=config.master_seed, rows=tuple(refined_rows),
                             fit=_maybe_fit(refined_rows),

@@ -1,12 +1,11 @@
 """Euler-Maruyama simulation of the impulsive system under small noise.
 
 The radial component gains additive noise epsilon*dW; the angular component
-advances at unit speed (optionally perturbed by zeta*f(r, theta)) plus
-sigma*epsilon^p*dB. An impulse fires at the first grid step whose endpoint
-angle reaches the wedge angle alpha; the crossing time is located by linear
-interpolation inside the step, the radius is reset through h there, and the
-remainder of the step is advanced with a fresh Brownian increment, so no
-increment is ever reused across an impulse.
+advances at unit speed plus sigma*epsilon^p*dB. An impulse fires at the
+first grid step whose endpoint angle reaches the wedge angle alpha; the
+crossing time is located by linear interpolation inside the step, the radius
+is reset through h there, and the remainder of the step is advanced with a
+fresh Brownian increment, so no increment is ever reused across an impulse.
 
 Per-replica randomness comes from counter-based generators derived from a
 master seed and the replica index, which makes every result reproducible and
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,8 +25,6 @@ from .cadlag import CadlagPath, assemble_from_grid
 from .errors import ParameterError, ResolutionError, RunawayError
 from .fpt import derived_tail_constant
 from .system import ImpulseSchedule, SimulationGrid, SystemSpec, simulation_grid
-
-_F_PROBE = 41
 
 
 @dataclass(frozen=True)
@@ -42,8 +38,6 @@ class NoiseParams:
     epsilon: float
     p: float
     sigma: int = 1
-    zeta: float = 0.0
-    angular_drift: Callable | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0):
@@ -52,15 +46,6 @@ class NoiseParams:
             raise ParameterError("angular exponent p must exceed 1", field="p")
         if self.sigma not in (0, 1):
             raise ParameterError("sigma must be 0 or 1", field="sigma")
-        if self.zeta < 0.0:
-            raise ParameterError("zeta must be nonnegative", field="zeta")
-        if self.angular_drift is not None:
-            rr, tt = np.meshgrid(np.linspace(-8.0, 8.0, _F_PROBE),
-                                 np.linspace(0.0, 2.0 * math.pi, _F_PROBE))
-            vals = np.abs(np.asarray(self.angular_drift(rr, tt), dtype=float))
-            if float(np.max(vals)) >= 1.0:
-                raise ParameterError("angular drift perturbation must satisfy sup|f| < 1",
-                                     field="angular_drift")
 
     @property
     def angular_scale(self) -> float:
@@ -108,30 +93,26 @@ def default_impulse_cap(alpha: float, horizon: float) -> int:
     return 10 * int(math.ceil(horizon / alpha))
 
 
-def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid,
-                   w_inc: np.ndarray, b_inc: np.ndarray,
+def _advance_batch(spec: SystemSpec, eps: np.ndarray, eps_ang: np.ndarray,
+                   grid: SimulationGrid, w_inc: np.ndarray, b_inc: np.ndarray,
                    aux_w: np.ndarray, aux_b: np.ndarray, n_max: int):
     """Vectorised step loop over every replica at every noise level.
 
     `w_inc`/`b_inc` are the raw (n_steps, M) increments and `aux_w`/`aux_b`
-    the (M, n_max) unit draws of M replicas; `levels` are E ``NoiseParams``
-    sharing `zeta` and `angular_drift`. Column ``e*M + i`` is replica i at
-    level e. Each step proposes ``r + b(r)*h + eps*w[j]`` and
+    the (M, n_max) unit draws of M replicas; `eps` and `eps_ang` hold the
+    radial and angular scales of E noise levels. Column ``e*M + i`` is
+    replica i at level e. Each step proposes ``r + b(r)*h + eps*w[j]`` and
     ``theta + h + eps^p*b[j]`` for all E*M columns straight into row j+1 of
     the path arrays; only the columns whose proposed angle reaches alpha go
     through the impulse loop. Returns grid samples, impulse data and counts.
     """
     times, steps = grid.times, grid.steps
     n, m = w_inc.shape
-    eps = np.array([lv.epsilon for lv in levels])
-    eps_ang = np.array([lv.angular_scale for lv in levels])
     eps_col, eps_ang_col = np.repeat(eps, m), np.repeat(eps_ang, m)
-    zeta, f = levels[0].zeta, levels[0].angular_drift
-    tilted = zeta != 0.0 and f is not None
     alpha = grid.alpha
     drift, reset = spec.drift, spec.reset
 
-    c = len(levels) * m
+    c = eps.shape[0] * m
     r_path = np.empty((n + 1, c))
     th_path = np.empty((n + 1, c))
     r_path[0] = spec.r0
@@ -148,11 +129,7 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid,
         np.multiply(np.asarray(drift(r_now), dtype=float), h, out=r_next)
         np.add(r_now, r_next, out=r_next)
         r_next += np.multiply.outer(eps, w_inc[j]).ravel()
-        if tilted:
-            np.add(th_now, h * (1.0 + zeta * np.asarray(f(r_now, th_now), dtype=float)),
-                   out=th_next)
-        else:
-            np.add(th_now, h, out=th_next)
+        np.add(th_now, h, out=th_next)
         th_next += np.multiply.outer(eps_ang, b_inc[j]).ravel()
         cross = th_next >= alpha
         if not cross.any():
@@ -181,12 +158,7 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid,
             replica = idx % m
             r_prop = r_state + np.asarray(drift(r_state), dtype=float) * rem \
                 + eps_col[idx] * aux_w[replica, k] * sq
-            if tilted:
-                th_prop = th_state + rem * (1.0 + zeta * np.asarray(f(r_state, th_state),
-                                                                   dtype=float))
-            else:
-                th_prop = th_state + rem
-            th_prop = th_prop + eps_ang_col[idx] * aux_b[replica, k] * sq
+            th_prop = th_state + rem + eps_ang_col[idx] * aux_b[replica, k] * sq
             # With no time left (rem = 0) the proposal is the post-impulse
             # state itself, and its angle 0 does not cross.
             cross = th_prop >= alpha
@@ -207,7 +179,7 @@ class BatchResult:
 
     A batch of M replicas at E noise levels has E*M columns: column
     ``e*M + i`` is replica ``replica_offset + i`` at level e. The stored
-    increments are per replica, shared by all levels.
+    radial increments are per replica, shared by all levels.
     """
 
     grid: SimulationGrid
@@ -220,7 +192,6 @@ class BatchResult:
     master_seed: int
     replica_offset: int
     w_increments: np.ndarray | None = None  # (n_steps, M) when stored
-    b_increments: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -253,20 +224,16 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
                    n_max: int | None = None, store_increments: bool = False) -> BatchResult:
     """Simulate replicas `replica_offset .. replica_offset + n_replicas - 1`.
 
-    `noise` is one :class:`NoiseParams` or a tuple of noise levels sharing
-    `zeta` and `angular_drift`. Each replica's record is drawn once and
-    drives it at every level, so column ``e*n_replicas + i`` of the result
-    is replica ``replica_offset + i`` at level e, and the stored increments
-    are (n_steps, n_replicas). Results are a pure function of (spec, level,
-    horizon, dt, master_seed, replica index); chunk boundaries and the other
-    levels do not affect them.
+    `noise` is one :class:`NoiseParams` or a tuple of noise levels. Each
+    replica's record is drawn once and drives it at every level, so column
+    ``e*n_replicas + i`` of the result is replica ``replica_offset + i`` at
+    level e, and the stored radial increments are (n_steps, n_replicas).
+    Results are a pure function of (spec, level, horizon, dt, master_seed,
+    replica index); chunk boundaries and the other levels do not affect them.
     """
     levels = (noise,) if isinstance(noise, NoiseParams) else tuple(noise)
     if not levels:
         raise ParameterError("need at least one noise level")
-    if any(lv.zeta != levels[0].zeta or lv.angular_drift is not levels[0].angular_drift
-           for lv in levels):
-        raise ParameterError("noise levels must share zeta and the angular drift")
     if n_replicas < 1:
         raise ParameterError("need at least one replica")
     _check_stochastic_dt(spec.alpha, dt)
@@ -284,13 +251,14 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
         b_inc[:, i] = rec.b_increments
         aux_w[i] = rec.aux_w
         aux_b[i] = rec.aux_b
+    eps = np.array([lv.epsilon for lv in levels])
+    eps_ang = np.array([lv.angular_scale for lv in levels])
     r_path, th_path, tau, pre, post, counts = _advance_batch(
-        spec, levels, grid, w_inc, b_inc, aux_w, aux_b, n_max)
+        spec, eps, eps_ang, grid, w_inc, b_inc, aux_w, aux_b, n_max)
     return BatchResult(grid=grid, r_values=r_path, theta_values=th_path,
                        tau=tau, pre=pre, post=post, counts=counts,
                        master_seed=master_seed, replica_offset=replica_offset,
-                       w_increments=w_inc if store_increments else None,
-                       b_increments=b_inc if store_increments else None)
+                       w_increments=w_inc if store_increments else None)
 
 
 @dataclass(frozen=True)

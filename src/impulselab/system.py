@@ -193,7 +193,6 @@ class SystemSpec:
     reset_slope_bound: float
     alpha: float
     r0: float
-    theta0: float = 0.0
     drift_derivative: Callable | None = None
 
     def __post_init__(self):
@@ -201,8 +200,6 @@ class SystemSpec:
             raise ParameterError("alpha must lie in (0, 2*pi)", field="alpha")
         if self.r0 <= 0:
             raise ParameterError("initial radius must be positive", field="r0")
-        if self.theta0 != 0.0:
-            raise ParameterError("initial angle must be 0", field="theta0")
         if self.drift_bound < 0 or self.reset_slope_bound <= 0:
             raise ParameterError("drift bound must be nonnegative and reset slope bound positive")
         span = max(8.0, 4.0 * self.r0)

@@ -279,6 +279,17 @@ class TestCliCommands:
         assert main(["simulate", "--epsilon", "1.5", "--seed", "0",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("p, message", [
+        ("0.9", "noise.p: angular exponent p must exceed 1"),
+        ("1.2", "experiment.nu: good-set exponent nu must lie in (1, p)"),
+    ])
+    def test_p_flag_is_validated_like_the_file(self, tmp_path, capsys, p, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[noise]\np = {p}\n")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        assert main(["simulate", "--p", p, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n" * 2
+
     def test_numerical_guard_exit_code(self, tmp_path):
         # horizon landing exactly on an impulse time trips the horizon guard
         for command in ("trajectory", "simulate", "fluctuation"):
@@ -339,12 +350,14 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", ["simulate", "fluctuation"])
     def test_numerics_overrides_keep_one_copy(self, command):
+        p_flag = ["--p", "3"] if command == "simulate" else []
         args = build_parser().parse_args([command, "--dt", "0.005", "--horizon", "3.5",
-                                          "--seed", "9", "--out", "x.csv"])
+                                          "--seed", "9", *p_flag, "--out", "x.csv"])
         cfg = _with_overrides(load_config(None), args)
         assert (cfg.dt, cfg.horizon, cfg.seed) == (0.005, 3.5, 9)
         assert (cfg.experiment.dt, cfg.experiment.horizon, cfg.experiment.master_seed) == (
             0.005, 3.5, 9)
+        assert cfg.noise.p == cfg.experiment.p == (3.0 if p_flag else 2.0)
 
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

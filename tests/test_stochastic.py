@@ -72,39 +72,9 @@ class TestNoiseParams:
         with pytest.raises(ParameterError):
             NoiseParams(epsilon=0.1, p=2.0, sigma=0.5)
 
-    def test_angular_drift_sup_below_one(self):
-        with pytest.raises(ParameterError):
-            NoiseParams(epsilon=0.1, p=2.0, zeta=0.1,
-                        angular_drift=lambda r, th: np.full_like(r, 1.5))
-
     def test_angular_scale(self):
         assert NoiseParams(epsilon=0.2, p=2.0).angular_scale == pytest.approx(0.04)
         assert NoiseParams(epsilon=0.2, p=2.0, sigma=0).angular_scale == 0.0
-
-
-def tilt(r, theta):
-    """Angular drift perturbation with sup|f| = 0.9, nonnegative in the wedge."""
-    return 0.9 * np.sin(theta)
-
-
-class TestAngularDrift:
-    RUN = dict(horizon=4.0, dt=ALPHA / 400, master_seed=3, n_replicas=8)
-
-    def test_perturbation_moves_angles_and_impulses(self, halving_spec):
-        plain = simulate_batch(halving_spec, NoiseParams(epsilon=0.2, p=2.0), **self.RUN)
-        tilted = simulate_batch(halving_spec, NoiseParams(epsilon=0.2, p=2.0, zeta=0.5,
-                                                          angular_drift=tilt), **self.RUN)
-        assert not np.array_equal(plain.theta_values, tilted.theta_values)
-        assert not np.array_equal(plain.tau, tilted.tau, equal_nan=True)
-        # a faster angle reaches the wedge earlier
-        assert tilted.tau[:, 0].mean() < plain.tau[:, 0].mean()
-
-    def test_zero_scale_ignores_the_drift(self, halving_spec):
-        off = simulate_batch(halving_spec, NoiseParams(epsilon=0.2, p=2.0, zeta=0.0,
-                                                       angular_drift=tilt), **self.RUN)
-        none = simulate_batch(halving_spec, NoiseParams(epsilon=0.2, p=2.0), **self.RUN)
-        for name in ("r_values", "theta_values", "tau", "pre", "post", "counts"):
-            assert np.array_equal(getattr(off, name), getattr(none, name), equal_nan=True), name
 
 
 class TestZeroNoiseDegeneracy:
@@ -118,7 +88,7 @@ class TestZeroNoiseDegeneracy:
         assert np.max(np.abs(schedule.times - det_schedule.times)) <= 1e-4
 
     def test_no_angular_noise_gives_sawtooth(self, halving_spec):
-        quiet = NoiseParams(epsilon=0.2, p=2.0, sigma=0, zeta=0.0)
+        quiet = NoiseParams(epsilon=0.2, p=2.0, sigma=0)
         for seed in (0, 1, 7):
             _, schedule = one_replica(halving_spec, quiet, horizon=4.0, dt=ALPHA / 400,
                                       seed=seed)
@@ -190,7 +160,7 @@ def level_block(batch, e, m):
 
 def scalar_replica(spec, level, grid, record):
     """One replica stepped in plain floats, in simulate_batch's arithmetic
-    order (no angular drift): grid samples of r and theta, and impulse times."""
+    order: grid samples of r and theta, and impulse times."""
     def drift(r):
         return float(spec.drift(np.array([r]))[0])
 
@@ -225,21 +195,17 @@ class TestNoiseLevels:
     @given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 10**6),
            levels=st.lists(st.tuples(st.sampled_from([0.0, 0.05, 0.2, 0.9]) | st.floats(0.0, 0.95),
                                      st.sampled_from([1.05, 1.5, 2.0])), min_size=1, max_size=4),
-           sigma=st.sampled_from([0, 1]), tilted=st.booleans(),
-           system=st.sampled_from(sorted(SYSTEMS)))
-    @example(seed=0, offset=0, levels=[(0.0, 2.0), (0.2, 2.0)], sigma=1, tilted=False,
-             system="wedge")
-    @example(seed=4, offset=3, levels=[(0.2, 2.0), (0.5, 1.5)], sigma=1, tilted=True,
-             system="wedge")
-    @example(seed=0, offset=0, levels=[(0.05, 2.0), (0.9, 1.05)], sigma=1, tilted=False,
+           sigma=st.sampled_from([0, 1]), system=st.sampled_from(sorted(SYSTEMS)))
+    @example(seed=0, offset=0, levels=[(0.0, 2.0), (0.2, 2.0)], sigma=1, system="wedge")
+    @example(seed=4, offset=3, levels=[(0.2, 2.0), (0.5, 1.5)], sigma=1, system="wedge")
+    @example(seed=0, offset=0, levels=[(0.05, 2.0), (0.9, 1.05)], sigma=1,
              system="narrow")  # two crossings in one step at 0.9
     def test_each_level_block_equals_a_single_level_batch(self, seed, offset, levels, sigma,
-                                                          tilted, system):
+                                                          system):
         alpha, horizon, dt, n_max = SYSTEMS[system]
         spec = NARROW if system == "narrow" else SystemSpec.from_models(
             constant_drift(0.2), linear_reset(0.5), alpha=alpha, r0=1.0)
-        drift = dict(zeta=0.5, angular_drift=tilt) if tilted else {}
-        noise = tuple(NoiseParams(epsilon=eps, p=p, sigma=sigma, **drift) for eps, p in levels)
+        noise = tuple(NoiseParams(epsilon=eps, p=p, sigma=sigma) for eps, p in levels)
         run = dict(horizon=horizon, dt=dt, master_seed=seed, n_replicas=3,
                    replica_offset=offset, n_max=n_max, store_increments=True)
         joint = simulate_batch(spec, noise, **run)
@@ -278,16 +244,6 @@ class TestNoiseLevels:
         steps = np.searchsorted(batch.grid.times, batch.tau, side="left")
         same_step = [np.diff(row[:c]) == 0 for row, c in zip(steps, batch.counts)]
         assert any(pair.any() for pair in same_step)
-
-    @pytest.mark.parametrize("other", [
-        NoiseParams(epsilon=0.1, p=2.0, zeta=0.5, angular_drift=tilt),
-        NoiseParams(epsilon=0.1, p=2.0, zeta=0.3, angular_drift=lambda r, th: 0.5 * np.sin(th)),
-        NoiseParams(epsilon=0.1, p=2.0, zeta=0.3),
-    ])
-    def test_levels_must_share_the_angular_drift(self, halving_spec, other):
-        first = NoiseParams(epsilon=0.2, p=2.0, zeta=0.3, angular_drift=tilt)
-        with pytest.raises(ParameterError, match="share"):
-            simulate_batch(halving_spec, (first, other), 4.0, ALPHA / 400, 0, 2)
 
     def test_needs_a_level(self, halving_spec):
         with pytest.raises(ParameterError):

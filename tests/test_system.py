@@ -43,13 +43,6 @@ class TestSystemSpecValidation:
             SystemSpec.from_models(constant_drift(0.1), linear_reset(0.5),
                                    alpha=1.0, r0=0.0)
 
-    def test_initial_angle_pinned_to_zero(self):
-        with pytest.raises(ParameterError):
-            SystemSpec(drift=lambda r: np.zeros_like(r), drift_bound=0.0,
-                       reset=lambda r: np.asarray(r, dtype=float),
-                       reset_derivative=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                       reset_slope_bound=1.0, alpha=1.0, r0=1.0, theta0=0.3)
-
     def test_reset_must_fix_origin(self):
         with pytest.raises(ParameterError):
             SystemSpec(drift=lambda r: np.zeros_like(r), drift_bound=0.0,
