@@ -29,7 +29,7 @@ from .system import (DeterministicSolution, DriftModel, ImpulseSchedule, ResetMo
                      impact_count, integrate_deterministic, linear_reset,
                      saturating_reset, simulation_grid, solution_to_path, table_drift,
                      table_reset, tanh_drift)
-from .cli import RunConfig, emit, load_config
+from .cli import RunConfig, load_config
 
 __all__ = [
     "AlignmentError", "BatchResult", "BoundSearchError", "BrownianRecord",
@@ -43,7 +43,7 @@ __all__ = [
     "aligning_cost_bound", "aligning_slope_deviation_bound", "batch_skorohod_upper",
     "build_aligning_distortion", "classify_good_set", "clt_experiment",
     "constant_drift", "derived_tail_constant", "deterministic_trajectory",
-    "distortion_cost", "emit", "first_order_on_grid", "fit_rate",
+    "distortion_cost", "first_order_on_grid", "fit_rate",
     "fluctuation_path", "fpt_cdf", "fpt_density", "fpt_laplace", "fpt_tail_bound",
     "good_set_mask", "good_set_probability_bound", "impact_count",
     "integrate_deterministic",

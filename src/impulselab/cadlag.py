@@ -335,7 +335,6 @@ class _Grid:
         padded = np.concatenate([[-np.inf], times, np.full(rounds, np.inf)])
         # after[k - 1][b]: the k-th grid point after lo[b], or +inf.
         self.after = [padded[self.lo + k + 1] for k in range(1, rounds + 1)]
-        self.prev, self.next = padded[:n], padded[2:n + 2]
         self.knots = np.concatenate([[0.0], times[jump_index], [times[-1]]])
         self.knot_index = np.concatenate([[0], jump_index, [n - 1]])
         self.jump_index = jump_index
@@ -359,16 +358,6 @@ class _Grid:
         j = self.lo.take(b)
         for after in self.after:
             j += after.take(b) <= t
-        return j
-
-    def locate_near(self, u):
-        """locate(u) for u of shape (rows, n) whose column i is expected in
-        [times[i-1], times[i+1]), where the index is i - (u < times[i]).
-        Entries outside that bracket go through locate."""
-        j = np.arange(self.times.shape[0]) - (u < self.times)
-        off = np.flatnonzero((u < self.prev) | (u >= self.next))
-        if off.size:
-            j.ravel()[off] = self.locate(u.ravel()[off])
         return j
 
     def first_order(self, trace, levels, columns, per_level):
@@ -452,12 +441,11 @@ class _ReplicaBlock:
         t = self.backward.take(flat) * (s - self.kv.take(flat)) + self.grid.knots[j]
         return np.where(self.good[:, None], t, s)
 
-    def noisy_at(self, u, near_grid=False):
+    def noisy_at(self, u):
         """Right values of the noisy paths at u, plus the flat indices where u
-        is a noisy jump time and the radius just before that jump. near_grid
-        says column i of u lies next to grid point i."""
+        is a noisy jump time and the radius just before that jump."""
         times = self.grid.times
-        j = self.grid.locate_near(u) if near_grid else self.grid.locate(u)
+        j = self.grid.locate(u)
         flat = self.offsets + j
         du = u - times[j]
         (r0, r_slope), (th0, th_slope) = self.r, self.theta
@@ -515,11 +503,9 @@ class _ReplicaBlock:
         order = jump_order[j1.ravel()[on_grid]]
         return r1, th1, on_grid[order >= 0], order[order >= 0]
 
-    def scan(self, t, firsts, sup2, near_grid=False):
+    def scan(self, t, firsts, sup2):
         """Fold sup |x1(t) - x2(lambda(t))|^2 over one query array into `sup2`,
-        one entry per first path. t=None means the grid itself; near_grid
-        means lambda(t) lands next to the grid point of its column, as it does
-        for t = lambda^-1(grid)."""
+        one entry per first path. t=None means the grid itself."""
         grid = self.grid
         if t is None:
             t = grid.times
@@ -533,7 +519,7 @@ class _ReplicaBlock:
             width = t.shape[1]
             r1, th1, jumps1, order1 = self.first_at(t, firsts)
             u = self.lam(t)
-        r2, th2, jumps2, pre2 = self.noisy_at(u, near_grid)
+        r2, th2, jumps2, pre2 = self.noisy_at(u)
         dth = th1 - th2
         dth2 = dth * dth
         for s2, r in zip(sup2, r1):
@@ -625,7 +611,7 @@ def batch_skorohod_upper(times, jump_index, alpha, det, noisy, good, trace=None,
         # grid, lambda^-1(grid), lambda^-1(tau); unused impulse slots query t = 0.
         valid = np.arange(block.tau.shape[1]) < block.counts[:, None]
         block.scan(None, firsts, sup2)
-        block.scan(block.lam_inv(times), firsts, sup2, near_grid=True)
+        block.scan(block.lam_inv(times), firsts, sup2)
         block.scan(block.lam_inv(np.where(valid, block.tau, 0.0)), firsts, sup2)
         for dest, s2 in zip(out, sup2):
             dest[rows] = np.maximum(block.cost, np.sqrt(s2))

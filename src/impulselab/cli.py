@@ -1,9 +1,15 @@
-"""Command line front end: config loading, subcommands, stable CSV/JSON output.
+"""Command line front end: config loading, subcommands, byte-stable output.
 
 Config files use a flat INI-style schema with sections [model], [noise],
-[numerics], [experiment]; every key has a default, so an empty file (or no
---config at all) runs the stock example system. Unknown sections or keys are
-rejected, and every constraint violation is reported as section.key: message.
+[numerics], [experiment]; every key has a default in `_DEFAULTS`, so an empty
+file (or no --config at all) runs the stock example system. Unknown sections
+or keys are rejected, and every constraint violation is reported as
+section.key: message.
+
+Each artefact has one writer. `trajectory`, `simulate` and `fluctuation` write
+a path CSV (`simulate` adds a `.impulses.csv` sidecar), `fpt` a t, pdf, cdf
+CSV, `skorohod` a JSON object, and `experiment` one CSV row per epsilon plus a
+`.summary.json` with the fits.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical guard tripped,
 4 output I/O failure.
@@ -23,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ._text import format_float, open_dest, write_csv_rows
-from .cadlag import CadlagPath, read_path_csv, skorohod_oracle, uniform_distance, write_path_csv
+from .cadlag import read_path_csv, skorohod_oracle, uniform_distance, write_path_csv
 from .errors import ConfigError, ImpulseLabError, ParameterError
 from .experiments import ExperimentConfig, ExperimentReport, clt_experiment, lln_experiment
 from .fluctuation import fluctuation_path
@@ -33,13 +39,6 @@ from .stochastic import (BrownianRecord, NoiseParams, _check_stochastic_dt,
 from .system import (ImpulseSchedule, SystemSpec, constant_drift, deterministic_trajectory,
                      integrate_deterministic, linear_reset, saturating_reset,
                      simulation_grid, table_drift, table_reset, tanh_drift)
-
-_SCHEMA = {
-    "model": ("drift.kind", "drift.params", "reset.kind", "reset.params", "alpha", "r0"),
-    "noise": ("epsilon", "p", "sigma"),
-    "numerics": ("dt", "horizon", "seed"),
-    "experiment": ("mode", "eps_grid", "replicas", "beta", "nu"),
-}
 
 _DEFAULTS = {
     ("model", "drift.kind"): "constant",
@@ -61,14 +60,10 @@ _DEFAULTS = {
     ("experiment", "nu"): "1.5",
 }
 
-# Config key of each field the dataclasses validate, for rewriting their errors.
-_CONFIG_KEYS = {
-    "alpha": "model.alpha", "r0": "model.r0",
-    "epsilon": "noise.epsilon", "p": "noise.p", "sigma": "noise.sigma",
-    "dt": "numerics.dt", "horizon": "numerics.horizon", "seed": "numerics.seed",
-    "mode": "experiment.mode", "eps_grid": "experiment.eps_grid",
-    "replicas": "experiment.replicas", "beta": "experiment.beta", "nu": "experiment.nu",
-}
+# The keys of each section, and the config key of each field the dataclasses
+# validate, for rewriting their errors.
+_SCHEMA = {section: tuple(k for s, k in _DEFAULTS if s == section) for section, _ in _DEFAULTS}
+_CONFIG_KEYS = {key: f"{section}.{key}" for section, key in _DEFAULTS if "." not in key}
 
 _MODES = ("lln", "clt")
 
@@ -207,14 +202,6 @@ def load_config(path: str | None) -> RunConfig:
                          mode=raw("experiment", "mode"), experiment=experiment)
 
 
-def _json_ready(value):
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _report_summary(report: ExperimentReport) -> dict:
     summary = {
         "mode": report.mode,
@@ -233,57 +220,12 @@ def _report_summary(report: ExperimentReport) -> dict:
     return summary
 
 
-def _report_rows(rows):
-    header = ["epsilon", "mean_distance", "stderr", "bad_freq", "replicas"]
-    body = [[format_float(r.epsilon), format_float(r.mean_distance),
-             format_float(r.stderr), format_float(r.bad_freq), str(r.replicas)]
-            for r in rows]
-    return header, body
-
-
-def emit(obj, format: str, destination) -> None:
-    """Write a path, schedule, or report as byte-stable CSV or JSON."""
-    if format not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
-    if isinstance(obj, CadlagPath):
-        if format == "csv":
-            write_path_csv(obj, destination)
-        else:
-            payload = {
-                "horizon": obj.horizon,
-                "jump_times": _json_ready(obj.jump_times),
-                "segments": [{"times": _json_ready(seg.times),
-                              "values": _json_ready(seg.values)}
-                             for seg in obj.segments],
-            }
-            _write_json(payload, destination)
-        return
-    if isinstance(obj, ImpulseSchedule):
-        if format == "csv":
-            header = ["k", "tau_k", "pre_value", "post_value"]
-            body = [[str(k + 1), format_float(t), format_float(a), format_float(b)]
-                    for k, (t, a, b) in enumerate(zip(obj.times, obj.pre_values,
-                                                      obj.post_values))]
-            with open_dest(destination) as fh:
-                write_csv_rows(fh, header, body)
-        else:
-            _write_json({"times": _json_ready(obj.times),
-                         "pre_values": _json_ready(obj.pre_values),
-                         "post_values": _json_ready(obj.post_values)}, destination)
-        return
-    if isinstance(obj, ExperimentReport):
-        if format == "csv":
-            header, body = _report_rows(obj.rows)
-            with open_dest(destination) as fh:
-                write_csv_rows(fh, header, body)
-        else:
-            payload = _report_summary(obj)
-            payload["rows"] = [{"epsilon": r.epsilon, "mean_distance": r.mean_distance,
-                                "stderr": r.stderr, "bad_freq": r.bad_freq,
-                                "replicas": r.replicas} for r in obj.rows]
-            _write_json(payload, destination)
-        return
-    raise ConfigError(f"cannot emit object of type {type(obj).__name__}")
+def _write_schedule_csv(schedule: ImpulseSchedule, destination) -> None:
+    body = [[str(k + 1), format_float(t), format_float(a), format_float(b)]
+            for k, (t, a, b) in enumerate(zip(schedule.times, schedule.pre_values,
+                                              schedule.post_values))]
+    with open_dest(destination) as fh:
+        write_csv_rows(fh, ["k", "tau_k", "pre_value", "post_value"], body)
 
 
 def _write_json(payload: dict, destination) -> None:
@@ -339,7 +281,7 @@ def _cmd_simulate(args) -> int:
     batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, cfg.seed, 1)
     write_path_csv(batch.path(0), args.out)
     if args.out != "-":
-        emit(batch.schedule(0), "csv", _sidecar(args.out, ".impulses.csv"))
+        _write_schedule_csv(batch.schedule(0), _sidecar(args.out, ".impulses.csv"))
     return 0
 
 
@@ -390,13 +332,17 @@ def _cmd_skorohod(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = _with_overrides(load_config(args.config), args)
+    if cfg.sigma != 1:
+        # The experiment driver always simulates with angular noise on.
+        raise ConfigError("noise.sigma: experiments need angular noise, sigma = 1")
     if cfg.mode == "lln":
         report = lln_experiment(cfg.experiment, cfg.system)
     else:
         report = clt_experiment(cfg.experiment, cfg.system)
-    header, body = _report_rows(report.rows)
+    body = [[format_float(r.epsilon), format_float(r.mean_distance), format_float(r.stderr),
+             format_float(r.bad_freq), str(r.replicas)] for r in report.rows]
     with open_dest(args.out) as fh:
-        write_csv_rows(fh, header, body)
+        write_csv_rows(fh, ["epsilon", "mean_distance", "stderr", "bad_freq", "replicas"], body)
     summary_dest = _sidecar(args.out, ".summary.json") if args.out != "-" else "-"
     _write_json(_report_summary(report), summary_dest)
     return 0

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from impulselab import (
-    CadlagPath,
     ConfigError,
     ImpulseSchedule,
-    emit,
     integrate_deterministic,
     load_config,
     read_path_csv,
@@ -23,8 +21,7 @@ from impulselab import (
     write_path_csv,
 )
 from impulselab.fluctuation import fluctuation_trace
-from impulselab.cli import _with_overrides, build_parser, main
-from impulselab.experiments import EpsilonRow, ExperimentReport, RateFit
+from impulselab.cli import _with_overrides, _write_schedule_csv, build_parser, main
 
 
 class TestLoadConfig:
@@ -157,50 +154,13 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     assert (tmp_path / "rates.summary.json").exists()
 
 
-def sample_report() -> ExperimentReport:
-    rows = (
-        EpsilonRow(epsilon=0.1, mean_distance=0.21, stderr=0.01, bad_freq=0.0, replicas=5),
-        EpsilonRow(epsilon=0.2, mean_distance=0.44, stderr=0.02, bad_freq=0.2, replicas=5),
-        EpsilonRow(epsilon=0.4, mean_distance=0.91, stderr=0.04, bad_freq=0.4, replicas=5),
-    )
-    fit = RateFit(slope=1.06, intercept=-0.1, slope_stderr=0.02)
-    return ExperimentReport(mode="lln", beta=1, nu=1.5, p=2.0, seed=7, rows=rows, fit=fit)
-
-
 class TestEmit:
-    def test_report_emission_is_byte_stable(self, tmp_path):
-        report = sample_report()
-        outs = []
-        for name in ("a", "b"):
-            csv_path = tmp_path / f"{name}.csv"
-            json_path = tmp_path / f"{name}.json"
-            emit(report, "csv", str(csv_path))
-            emit(report, "json", str(json_path))
-            outs.append((csv_path.read_bytes(), json_path.read_bytes()))
-        assert outs[0] == outs[1]
-
     def test_empty_schedule_is_header_only(self, tmp_path):
         schedule = ImpulseSchedule(times=np.empty(0), pre_values=np.empty(0),
                                    post_values=np.empty(0))
         out = tmp_path / "empty.csv"
-        emit(schedule, "csv", str(out))
+        _write_schedule_csv(schedule, str(out))
         assert out.read_text() == "k,tau_k,pre_value,post_value\n"
-
-    def test_path_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(1)
-        seg1 = (np.linspace(0.0, 1.0, 6), rng.standard_normal((6, 2)))
-        seg2 = (np.linspace(1.0, 2.5, 9), rng.standard_normal((9, 2)))
-        path = CadlagPath(2.5, [seg1, seg2], jump_times=[1.0])
-        out = tmp_path / "path.csv"
-        emit(path, "csv", str(out))
-        again = read_path_csv(str(out))
-        for sa, sb in zip(again.segments, path.segments):
-            np.testing.assert_array_equal(sa.times, sb.times)
-            np.testing.assert_array_equal(sa.values, sb.values)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit(sample_report(), "xml", str(tmp_path / "r.xml"))
 
 
 class TestCliCommands:
@@ -272,6 +232,17 @@ class TestCliCommands:
         assert summary["mode"] == "lln"
         assert {"slope", "intercept", "slope_stderr", "beta", "nu", "p", "seed"} <= set(summary)
 
+    def test_only_simulate_runs_without_angular_noise(self, tmp_path, capsys):
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("[noise]\nsigma = 0\n[numerics]\ndt = 2e-3\n[experiment]\nreplicas = 3\n")
+        path, rows = tmp_path / "x.csv", tmp_path / "rates.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(path)]) == 0
+        assert read_path_csv(str(path)).jump_times.shape[0] == 2
+        assert main(["experiment", "--config", str(cfg), "--out", str(rows)]) == 2
+        assert capsys.readouterr().err == ("config error: noise.sigma: experiments need "
+                                           "angular noise, sigma = 1\n")
+        assert not rows.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[noise]\np = 0.9\n")
@@ -309,7 +280,7 @@ class TestCliCommands:
                                n_replicas=3)
         want_path, want_schedule = io.StringIO(), io.StringIO()
         write_path_csv(batch.path(0), want_path)
-        emit(batch.schedule(0), "csv", want_schedule)
+        _write_schedule_csv(batch.schedule(0), want_schedule)
         assert out.read_text() == want_path.getvalue()
         assert (tmp_path / "run.impulses.csv").read_text() == want_schedule.getvalue()
 

