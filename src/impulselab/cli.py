@@ -79,8 +79,6 @@ class RunConfig:
     experiment: ExperimentConfig
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative", field="seed")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {', '.join(_MODES)}", field="mode")
 
@@ -325,7 +323,10 @@ def _cmd_skorohod(args) -> int:
     x2 = read_path_csv(args.path2)
     payload = {"uniform_distance": uniform_distance(x1, x2)}
     if args.oracle:
-        payload["oracle_upper"] = skorohod_oracle(x1, x2, resolution=args.resolution)
+        try:
+            payload["oracle_upper"] = skorohod_oracle(x1, x2, resolution=args.resolution)
+        except ParameterError as exc:
+            raise ConfigError(f"--resolution: {exc}") from exc
     _write_json(payload, args.out)
     return 0
 

@@ -57,18 +57,24 @@ class ExperimentConfig:
             raise ConfigError("epsilon grid must not be empty", field="eps_grid")
         if any(not (0.0 < e < 1.0) for e in grid):
             raise ConfigError("every epsilon must lie in (0, 1)", field="eps_grid")
+        if len(set(grid)) < len(grid):
+            raise ConfigError("epsilon values must be distinct", field="eps_grid")
         if self.replicas < 1:
             raise ConfigError("replica count must be positive", field="replicas")
         if self.beta not in (1, 2):
             raise ConfigError("moment order beta must be 1 or 2", field="beta")
         if not (1.0 < self.nu < self.p):
             raise ConfigError("good-set exponent nu must lie in (1, p)", field="nu")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ConfigError("step must be positive", field="dt")
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise ConfigError("horizon must be positive", field="horizon")
+        if self.horizon == math.inf:
+            raise ConfigError("horizon must be finite", field="horizon")
         if self.chunk_size < 1:
             raise ConfigError("chunk size must be positive", field="chunk_size")
+        if self.master_seed < 0:
+            raise ConfigError("seed must be nonnegative", field="seed")
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,11 @@ def fit_rate(points) -> RateFit:
         raise DataError("rate fit needs positive means")
     x = np.log([e for e, _ in pts])
     y = np.log([m for _, m in pts])
-    n = x.shape[0]
-    (slope, intercept), residuals, *_ = np.polyfit(x, y, 1, full=True)
+    (slope, intercept), residuals, rank, *_ = np.polyfit(x, y, 1, full=True)
+    if rank < 2:
+        raise DataError("rate fit needs distinct epsilon values")
     sxx = float(np.sum((x - x.mean()) ** 2))
-    rss = float(residuals[0]) if residuals.size else float(np.sum((y - slope * x - intercept) ** 2))
-    stderr = math.sqrt(rss / (n - 2) / sxx)
+    stderr = math.sqrt(float(residuals[0]) / (x.shape[0] - 2) / sxx)
     return RateFit(slope=float(slope), intercept=float(intercept), slope_stderr=stderr)
 
 

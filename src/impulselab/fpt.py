@@ -28,8 +28,10 @@ class FptParams:
     eps_p: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ParameterError("alpha must be positive")
+        if self.alpha == math.inf:
+            raise ParameterError("alpha must be finite")
         if not (0.0 < self.eps_p < 1.0):
             raise ParameterError("angular noise scale must lie in (0, 1)")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cadlag import CadlagPath, assemble_from_grid
 from .errors import ParameterError, ResolutionError, RunawayError
-from .fpt import derived_tail_constant
+from .fpt import FptParams, fpt_tail_bound
 from .system import ImpulseSchedule, SimulationGrid, SystemSpec, simulation_grid
 
 
@@ -42,8 +42,10 @@ class NoiseParams:
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0):
             raise ParameterError("epsilon must lie in [0, 1)", field="epsilon")
-        if self.p <= 1.0:
+        if not self.p > 1.0:
             raise ParameterError("angular exponent p must exceed 1", field="p")
+        if self.p == math.inf:
+            raise ParameterError("angular exponent p must be finite", field="p")
         if self.sigma not in (0, 1):
             raise ParameterError("sigma must be 0 or 1", field="sigma")
 
@@ -178,8 +180,8 @@ class BatchResult:
     """Vectorised simulation output with lazy per-column object views.
 
     A batch of M replicas at E noise levels has E*M columns: column
-    ``e*M + i`` is replica ``replica_offset + i`` at level e. The stored
-    radial increments are per replica, shared by all levels.
+    ``e*M + i`` is the batch's i-th replica at level e. The stored radial
+    increments are per replica, shared by all levels.
     """
 
     grid: SimulationGrid
@@ -189,8 +191,6 @@ class BatchResult:
     pre: np.ndarray
     post: np.ndarray
     counts: np.ndarray         # (E*M,)
-    master_seed: int
-    replica_offset: int
     w_increments: np.ndarray | None = None  # (n_steps, M) when stored
 
     def __len__(self) -> int:
@@ -255,18 +255,14 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     eps_ang = np.array([lv.angular_scale for lv in levels])
     r_path, th_path, tau, pre, post, counts = _advance_batch(
         spec, eps, eps_ang, grid, w_inc, b_inc, aux_w, aux_b, n_max)
-    return BatchResult(grid=grid, r_values=r_path, theta_values=th_path,
-                       tau=tau, pre=pre, post=post, counts=counts,
-                       master_seed=master_seed, replica_offset=replica_offset,
-                       w_increments=w_inc if store_increments else None)
+    return BatchResult(grid=grid, r_values=r_path, theta_values=th_path, tau=tau, pre=pre,
+                       post=post, counts=counts, w_increments=w_inc if store_increments else None)
 
 
 @dataclass(frozen=True)
 class GoodSetRecord:
     """Outcome of the impulse-alignment test for one replica."""
 
-    delta: float
-    n_expected: int
     is_good: bool
     deviations: np.ndarray
 
@@ -279,8 +275,7 @@ def classify_good_set(schedule: ImpulseSchedule, alpha: float, n_expected: int,
                                  n_expected, delta)[0])
     upto = min(times.shape[0], n_expected)
     deviations = np.abs(times[:upto] - alpha * np.arange(1, upto + 1))
-    return GoodSetRecord(delta=delta, n_expected=n_expected, is_good=is_good,
-                         deviations=deviations)
+    return GoodSetRecord(is_good=is_good, deviations=deviations)
 
 
 def good_set_mask(tau: np.ndarray, counts: np.ndarray, alpha: float, n_expected: int,
@@ -297,21 +292,15 @@ def good_set_mask(tau: np.ndarray, counts: np.ndarray, alpha: float, n_expected:
 
 
 def good_set_probability_bound(horizon_index: int, alpha: float, epsilon: float,
-                               p: float, delta: float, tail_constant: float | None = None) -> float:
+                               p: float, delta: float) -> float:
     """Closed-form bound on the probability of leaving the good set.
 
-    Scales like (epsilon^p/delta) * exp(-delta^2/(4*alpha*epsilon^{2p})) with
-    prefactor K*T*(T+1), T = horizon_index. Conservative but explicit.
+    T*(T+1) times :func:`fpt_tail_bound` at the angular noise scale epsilon^p,
+    T = horizon_index; the tail bound checks alpha and delta.
     """
     if horizon_index < 1:
         raise ParameterError("horizon index must be a positive integer")
-    if not (0.0 < delta < min(1.0, alpha / 2.0)):
-        raise ParameterError("delta must lie in (0, min(1, alpha/2))")
     if not (0.0 < epsilon < 1.0) or p <= 1.0:
         raise ParameterError("need epsilon in (0,1) and p > 1")
-    if tail_constant is None:
-        tail_constant = derived_tail_constant(alpha)
-    eps_p = epsilon ** p
     t = float(horizon_index)
-    return tail_constant * t * (t + 1.0) * (eps_p / delta) * math.exp(
-        -delta * delta / (4.0 * alpha * eps_p * eps_p))
+    return t * (t + 1.0) * fpt_tail_bound(FptParams(alpha=alpha, eps_p=epsilon ** p), delta)

@@ -198,8 +198,10 @@ class SystemSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha < TWO_PI):
             raise ParameterError("alpha must lie in (0, 2*pi)", field="alpha")
-        if self.r0 <= 0:
+        if not self.r0 > 0:
             raise ParameterError("initial radius must be positive", field="r0")
+        if self.r0 == math.inf:
+            raise ParameterError("initial radius must be finite", field="r0")
         if self.drift_bound < 0 or self.reset_slope_bound <= 0:
             raise ParameterError("drift bound must be nonnegative and reset slope bound positive")
         span = max(8.0, 4.0 * self.r0)
@@ -263,7 +265,6 @@ class SimulationGrid:
     boundary_indices: np.ndarray
     alpha: float
     horizon: float
-    dt: float
 
     @property
     def n_impulses(self) -> int:
@@ -275,11 +276,11 @@ class SimulationGrid:
 
 def simulation_grid(alpha: float, horizon: float, dt: float) -> SimulationGrid:
     """Segment-aligned grid: uniform steps of dt, shortened to land on k*alpha."""
-    if dt <= 0:
+    if not dt > 0:
         raise ResolutionError("step size must be positive")
-    n = int(math.floor(horizon / alpha + 1e-12))
-    frac = horizon / alpha - n
-    if n < 1 or frac <= 1e-9 or frac >= 1 - 1e-9:
+    q = horizon / alpha
+    n = int(math.floor(q + 1e-12)) if math.isfinite(q) else 0
+    if n < 1 or not (1e-9 < q - n < 1 - 1e-9):
         raise HorizonError(
             "horizon must lie strictly between consecutive impulse times "
             f"(got T={horizon!r}, alpha={alpha!r})"
@@ -302,7 +303,7 @@ def simulation_grid(alpha: float, horizon: float, dt: float) -> SimulationGrid:
     t = np.asarray(times)
     return SimulationGrid(times=t, steps=np.diff(t),
                           boundary_indices=np.asarray(boundary_indices, dtype=int),
-                          alpha=alpha, horizon=horizon, dt=dt)
+                          alpha=alpha, horizon=horizon)
 
 
 def _rk4_step(b: Callable, y: float, h: float) -> float:

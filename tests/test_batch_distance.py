@@ -135,8 +135,7 @@ def test_kernel_matches_oracle_on_hand_built_jumps(seed, first, on_grid, inside,
         hit = np.isin(times, r)
         r_values[hit, i] = theta_values[hit, i] = 1e3
     batch = BatchResult(grid=grid, r_values=r_values, theta_values=theta_values,
-                        tau=tau, pre=pre, post=post, counts=counts,
-                        master_seed=0, replica_offset=0)
+                        tau=tau, pre=pre, post=post, counts=counts)
     good = np.array([True, False, False, False])
     trace = (rng.normal(size=(n, m)), rng.normal(size=(2, m)), rng.normal(size=(2, m)))
     assert_matches_oracle(spec, det, batch, good, trace, eps)
@@ -180,8 +179,7 @@ def test_good_row_needs_n_increasing_impulses(acceptance_batch):
     forced[row] = True
     broken = BatchResult(grid=batch.grid, r_values=batch.r_values,
                          theta_values=batch.theta_values, tau=tau, pre=batch.pre,
-                         post=batch.post, counts=batch.counts, master_seed=0,
-                         replica_offset=0)
+                         post=batch.post, counts=batch.counts)
     with pytest.raises(InvalidInputError):
         kernel(spec, det, broken, forced, None, 0.2)
 
@@ -196,9 +194,13 @@ def test_good_set_mask_matches_classify(seed, n_expected, delta):
         tau[i, :c] = np.arange(1, c + 1) + rng.normal(scale=0.1, size=c)
     mask = good_set_mask(tau, counts, 1.0, n_expected, delta)
     for i, c in enumerate(counts):
+        # The good set written out: exactly n_expected impulses, the k-th
+        # within delta of k*alpha (alpha = 1).
+        want = c == n_expected and all(abs(tau[i, k] - (k + 1)) <= delta for k in range(c))
+        assert mask[i] == want
         schedule = ImpulseSchedule(times=tau[i, :c], pre_values=np.zeros(c),
                                    post_values=np.zeros(c))
-        assert mask[i] == classify_good_set(schedule, 1.0, n_expected, delta).is_good
+        assert classify_good_set(schedule, 1.0, n_expected, delta).is_good == want
 
 
 def test_driver_builds_no_per_replica_paths(monkeypatch):

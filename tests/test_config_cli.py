@@ -137,6 +137,14 @@ def test_readme_config_schema_loads(tmp_path):
     np.testing.assert_array_equal(cfg.system.reset(radii), defaults.system.reset(radii))
 
 
+def test_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    distances = [float(line) for line in capsys.readouterr().out.split()]
+    assert len(distances) == 4 and all(0.0 <= d < 2.0 for d in distances)
+
+
 def test_readme_commands_run(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8")
     ini = re.findall(r"```ini\n(.*?)```", text, flags=re.S)[0]
@@ -271,6 +279,56 @@ class TestCliCommands:
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
         assert main([command, "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
         assert re.search(r"^config error: numerics\.seed: .*seed", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, ini, key", [
+        (["trajectory", "--dt", "nan"], "", "numerics.dt: step must be positive"),
+        (["simulate", "--dt", "nan"], "", "numerics.dt: step must be positive"),
+        (["simulate"], "[numerics]\ndt = nan\n", "numerics.dt: step must be positive"),
+        (["simulate", "--horizon", "nan"], "", "numerics.horizon: horizon must be positive"),
+        (["fluctuation", "--horizon", "inf"], "", "numerics.horizon: horizon must be finite"),
+        (["trajectory"], "[numerics]\nhorizon = inf\n",
+         "numerics.horizon: horizon must be finite"),
+        (["simulate", "--p", "nan"], "", "noise.p: angular exponent p must exceed 1"),
+        (["simulate"], "[noise]\np = inf\n", "noise.p: angular exponent p must be finite"),
+        (["trajectory"], "[model]\nr0 = nan\n", "model.r0: initial radius must be positive"),
+        (["trajectory"], "[model]\nr0 = inf\n", "model.r0: initial radius must be finite"),
+        (["experiment"], "[experiment]\neps_grid = 0.1, 0.1, 0.1\n",
+         "experiment.eps_grid: epsilon values must be distinct"),
+    ])
+    def test_values_without_a_finite_range_are_config_errors(self, tmp_path, capsys, argv,
+                                                             ini, key):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha, message", [("nan", "alpha must be positive"),
+                                                ("inf", "alpha must be finite")])
+    def test_fpt_rejects_a_level_that_is_not_finite(self, tmp_path, capsys, alpha, message):
+        out = tmp_path / "fpt.csv"
+        assert main(["fpt", "--alpha", alpha, "--eps-p", "0.2", "--grid", "0.5:2.0:4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_oracle_resolution_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        assert main(["simulate", "--seed", "1", "--dt", "0.005", "--out", str(path)]) == 0
+        argv = ["skorohod", "--path1", str(path), "--path2", str(path), "--oracle"]
+        assert main(argv + ["--resolution", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --resolution: resolution must be at least 8\n")
+        assert main(argv + ["--resolution", "8"]) == 0
+
+    def test_oracle_refusing_many_jumps_is_a_guard_error(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        assert main(["simulate", "--seed", "1", "--dt", "0.005", "--horizon", "9.0",
+                     "--out", str(path)]) == 0
+        assert main(["skorohod", "--path1", str(path), "--path2", str(path),
+                     "--oracle"]) == 3
+        assert "error: oracle handles at most 4 jumps" in capsys.readouterr().err
 
     def test_simulate_seed_is_experiment_replica_zero(self, tmp_path):
         out = tmp_path / "run.csv"

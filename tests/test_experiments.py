@@ -61,6 +61,27 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(chunk_size=0)
 
+    @pytest.mark.parametrize("name, value, field", [
+        ("master_seed", -1, "seed"), ("dt", math.nan, "dt"), ("horizon", math.nan, "horizon"),
+        ("horizon", math.inf, "horizon"),
+    ])
+    def test_rejected_when_built(self, name, value, field):
+        with pytest.raises(ConfigError) as info:
+            small_config(**{name: value})
+        assert info.value.field == field
+
+    def test_seed_error_comes_after_the_other_fields(self):
+        with pytest.raises(ConfigError) as info:
+            small_config(master_seed=-1, beta=3)
+        assert info.value.field == "beta"
+
+    def test_repeated_epsilon_rejected(self):
+        # One record drives a replica at every level, so a repeated epsilon
+        # would only copy a row, and the rate fit needs distinct epsilons.
+        with pytest.raises(ConfigError, match="distinct") as info:
+            small_config(eps_grid=(0.1, 0.1, 0.1))
+        assert info.value.field == "eps_grid"
+
     def test_oversized_delta_rejected_at_run(self, halving_spec):
         config = small_config(eps_grid=(0.9,), replicas=1)
         with pytest.raises(ConfigError):
@@ -91,6 +112,10 @@ class TestFitRate:
     def test_needs_three_points(self):
         with pytest.raises(DataError):
             fit_rate([(0.1, 0.1), (0.2, 0.2)])
+
+    def test_needs_distinct_epsilons(self):
+        with pytest.raises(DataError, match="distinct"):
+            fit_rate([(0.1, 0.01), (0.1, 0.02), (0.1, 0.03)])
 
     def test_needs_positive_means(self):
         with pytest.raises(DataError):

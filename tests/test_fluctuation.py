@@ -17,6 +17,8 @@ from impulselab import (
     replica_seed_sequence,
     simulation_grid,
     solution_to_path,
+    table_drift,
+    table_reset,
 )
 from impulselab.fluctuation import fluctuation_path, fluctuation_trace
 
@@ -80,6 +82,32 @@ class TestFluctuationTrace:
         v_scaled, _, _ = fluctuation_trace(spec, det, 3.0 * record.w_increments)
         np.testing.assert_allclose(v_sum, v1 + v2, atol=1e-12)
         np.testing.assert_allclose(v_scaled, 3.0 * v1, atol=1e-12)
+
+    def test_table_model_matches_a_scalar_recursion(self):
+        # The lln_cli_table model, with b' and h' taken by central differences
+        # of the drift and reset themselves.
+        drift = table_drift([(0, 0.25), (0.5, 0.22), (1, 0.2), (2, 0.15), (4, 0.1)])
+        reset = table_reset([(0.25, 0.125), (0.5, 0.25), (1, 0.45), (2, 0.8)])
+        spec = SystemSpec.from_models(drift, reset, alpha=np.pi / 2, r0=1.0)
+        grid = simulation_grid(np.pi / 2, 4.0, 1e-3)
+        det = integrate_deterministic(spec, grid)
+        record = BrownianRecord.generate(grid, replica_seed_sequence(11, 0), 8)
+        values, pre, post = fluctuation_trace(spec, det, record.w_increments)
+
+        def slope(fn, r, h=1e-6):
+            return float((fn(np.array([r + h])) - fn(np.array([r - h])))[0] / (2.0 * h))
+
+        boundary = list(grid.boundary_indices)
+        cur, want = 0.0, [0.0]
+        for j, step in enumerate(grid.steps):
+            cur = (1.0 + slope(drift.fn, det.r_values[j]) * step) * cur + record.w_increments[j]
+            if j + 1 in boundary:
+                k = boundary.index(j + 1)
+                assert pre[k] == pytest.approx(cur, rel=1e-6, abs=1e-9)
+                cur *= slope(reset.fn, det.pre_radii[k])
+                assert post[k] == pytest.approx(cur, rel=1e-6, abs=1e-9)
+            want.append(cur)
+        np.testing.assert_allclose(values, want, rtol=1e-6, atol=1e-9)
 
     def test_increment_count_checked(self, unit_setup):
         spec, _, det, record = unit_setup

@@ -17,6 +17,7 @@ from impulselab import (
     SystemSpec,
     classify_good_set,
     constant_drift,
+    derived_tail_constant,
     deterministic_trajectory,
     good_set_probability_bound,
     linear_reset,
@@ -329,11 +330,12 @@ class TestClassifyGoodSet:
 
 class TestGoodSetBound:
     def test_closed_form_example(self):
-        # unit prefactor: tail_constant chosen so K*T*(T+1) = 1
+        # T*(T+1) = 2 times the hitting-time tail bound at eps^p = 0.05
         bound = good_set_probability_bound(1, alpha=1.0, epsilon=math.sqrt(0.05),
-                                           p=2.0, delta=0.3, tail_constant=0.5)
-        assert bound == pytest.approx((0.05 / 0.3) * math.exp(-9.0), rel=1e-9)
-        assert bound == pytest.approx(2.057e-5, rel=1e-3)
+                                           p=2.0, delta=0.3)
+        assert bound == pytest.approx(
+            2 * derived_tail_constant(1.0) * (0.05 / 0.3) * math.exp(-9.0), rel=1e-9)
+        assert bound == pytest.approx(4.783e-5, rel=1e-3)
 
     def test_vanishes_with_epsilon(self):
         bounds = [good_set_probability_bound(4, ALPHA, eps, 2.0, 0.25)

@@ -157,6 +157,13 @@ class TestDeterministicTrajectory:
         with pytest.raises(HorizonError):
             deterministic_trajectory(halving_unit_spec, horizon=0.5, dt=1e-3)
 
+    @pytest.mark.parametrize("horizon, dt, error", [
+        (np.nan, 1e-3, HorizonError), (np.inf, 1e-3, HorizonError), (2.5, np.nan, ResolutionError),
+    ])
+    def test_grid_rejects_values_that_are_not_finite(self, horizon, dt, error):
+        with pytest.raises(error):
+            simulation_grid(1.0, horizon, dt)
+
     def test_coarse_step_rejected(self, halving_unit_spec):
         with pytest.raises(ResolutionError):
             deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=0.02)
@@ -235,6 +242,17 @@ class TestTableModels:
                         assert np.isnan(got), (q, arg)
                     else:
                         assert np.float64(got).view(np.int64) == expected.view(np.int64), (q, arg)
+
+    def test_table_drift_derivative(self):
+        # The lln_cli_table drift: the derivative is the slope of the
+        # interpolant inside the table hull [0, 4] and 0 where it is clamped.
+        drift = table_drift([(0, 0.25), (0.5, 0.22), (1, 0.2), (2, 0.15), (4, 0.1)])
+        r = np.linspace(0.01, 3.99, 200)
+        h = 1e-6
+        central = (drift.fn(r + h) - drift.fn(r - h)) / (2.0 * h)
+        np.testing.assert_allclose(drift.derivative(r), central, rtol=0.0, atol=1e-7)
+        outside = np.array([-3.0, -1e-3, 4.001, 10.0])
+        assert np.all(drift.derivative(outside) == 0.0)
 
     def test_reset_table_odd_extension(self):
         reset = table_reset([(0.0, 0.0), (1.0, 0.45), (3.0, 1.1)])
