@@ -297,8 +297,11 @@ def _cmd_fluctuation(args) -> int:
 
 
 def _cmd_fpt(args) -> int:
-    with _config_errors():
+    try:
         params = FptParams(alpha=args.alpha, eps_p=args.eps_p)
+    except ParameterError as exc:
+        # Named by flag: `fpt` reads no config file, so model.alpha is not its key.
+        raise ConfigError(f"--{exc.field.replace('_', '-')}: {exc}") from exc
     parts = args.grid.split(":")
     if len(parts) != 3:
         raise ConfigError("--grid expects t0:t1:n")

@@ -29,11 +29,11 @@ class FptParams:
 
     def __post_init__(self):
         if not self.alpha > 0.0:
-            raise ParameterError("alpha must be positive")
+            raise ParameterError("alpha must be positive", field="alpha")
         if self.alpha == math.inf:
-            raise ParameterError("alpha must be finite")
+            raise ParameterError("alpha must be finite", field="alpha")
         if not (0.0 < self.eps_p < 1.0):
-            raise ParameterError("angular noise scale must lie in (0, 1)")
+            raise ParameterError("angular noise scale must lie in (0, 1)", field="eps_p")
 
     @property
     def shape(self) -> float:

@@ -11,7 +11,9 @@ Per-replica randomness comes from counter-based generators derived from a
 master seed and the replica index, which makes every result reproducible and
 independent of chunking or scheduling order. The expansion x + epsilon*Z is
 pathwise, so one record drives a replica at every noise level: a batch can
-hold several levels, drawn once and advanced together in one step loop.
+hold several levels, drawn once and advanced together in one step loop. The
+draws are scaled into rows 1..n of the path arrays of every level before the
+loop starts, and each step adds the drift part to the row already there.
 """
 
 from __future__ import annotations
@@ -78,17 +80,25 @@ class BrownianRecord:
     def generate(cls, grid: SimulationGrid, seed_seq: np.random.SeedSequence,
                  n_aux: int) -> "BrownianRecord":
         """Draw a record from one stream, such as :func:`replica_seed_sequence`'s."""
-        if not isinstance(seed_seq, np.random.SeedSequence):
-            raise ParameterError("draw records from a SeedSequence, e.g. replica_seed_sequence")
-        rng = np.random.Generator(np.random.Philox(seed_seq))
-        scale = np.sqrt(grid.steps)
-        n = grid.steps.shape[0]
-        w = rng.standard_normal(n) * scale
-        b = rng.standard_normal(n) * scale
-        aux_w = rng.standard_normal(n_aux)
-        aux_b = rng.standard_normal(n_aux)
-        return cls(times=grid.times, w_increments=w, b_increments=b,
-                   aux_w=aux_w, aux_b=aux_b)
+        wb, aux = np.empty((2, grid.steps.shape[0])), np.empty((2, n_aux))
+        _draw_normals(seed_seq, *wb, *aux)
+        wb *= np.sqrt(grid.steps)
+        return cls(times=grid.times, w_increments=wb[0], b_increments=wb[1],
+                   aux_w=aux[0], aux_b=aux[1])
+
+
+def _draw_normals(seed_seq: np.random.SeedSequence, w: np.ndarray, b: np.ndarray,
+                  aux_w: np.ndarray, aux_b: np.ndarray) -> None:
+    """Fill `w`, then `b`, then `aux_w`, then `aux_b` with unit normals from
+    one replica's stream. This draw order is the seed convention."""
+    if not isinstance(seed_seq, np.random.SeedSequence):
+        raise ParameterError("draw records from a SeedSequence, e.g. replica_seed_sequence")
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    for out in (w, b, aux_w, aux_b):
+        rng.standard_normal(out=out)
+
+
+_NOISE_BLOCK = 32  # replicas drawn into one reused (2, block, n_steps) buffer
 
 
 def default_impulse_cap(alpha: float, horizon: float) -> int:
@@ -96,47 +106,46 @@ def default_impulse_cap(alpha: float, horizon: float) -> int:
 
 
 def _advance_batch(spec: SystemSpec, eps: np.ndarray, eps_ang: np.ndarray,
-                   grid: SimulationGrid, w_inc: np.ndarray, b_inc: np.ndarray,
+                   grid: SimulationGrid, r_path: np.ndarray, th_path: np.ndarray,
                    aux_w: np.ndarray, aux_b: np.ndarray, n_max: int):
     """Vectorised step loop over every replica at every noise level.
 
-    `w_inc`/`b_inc` are the raw (n_steps, M) increments and `aux_w`/`aux_b`
-    the (M, n_max) unit draws of M replicas; `eps` and `eps_ang` hold the
-    radial and angular scales of E noise levels. Column ``e*M + i`` is
-    replica i at level e. Each step proposes ``r + b(r)*h + eps*w[j]`` and
-    ``theta + h + eps^p*b[j]`` for all E*M columns straight into row j+1 of
-    the path arrays; only the columns whose proposed angle reaches alpha go
-    through the impulse loop. Returns grid samples, impulse data and counts.
+    `r_path`/`th_path` are the (n_steps + 1, E*M) path arrays of M replicas at
+    E noise levels whose rows j+1 already hold the scaled noise ``eps*w[j]``
+    and ``eps^p*b[j]``; `aux_w`/`aux_b` are the (M, n_max) unit draws. Column
+    ``e*M + i`` is replica i at level e. Each step adds the drift part
+    ``r + b(r)*h`` and ``theta + h`` into row j+1 for all E*M columns; only the
+    columns whose proposed angle reaches alpha go through the impulse loop.
+    Fills the paths in place and returns the impulse data and counts.
     """
     times, steps = grid.times, grid.steps
-    n, m = w_inc.shape
+    n, c = steps.shape[0], r_path.shape[1]
+    m = aux_w.shape[0]
     eps_col, eps_ang_col = np.repeat(eps, m), np.repeat(eps_ang, m)
     alpha = grid.alpha
     drift, reset = spec.drift, spec.reset
 
-    c = eps.shape[0] * m
-    r_path = np.empty((n + 1, c))
-    th_path = np.empty((n + 1, c))
     r_path[0] = spec.r0
     th_path[0] = 0.0
     tau = np.full((c, n_max), np.nan)
     pre = np.full((c, n_max), np.nan)
     post = np.full((c, n_max), np.nan)
     counts = np.zeros(c, dtype=np.int64)
+    move = np.empty(c)
+    hits = np.empty(c, dtype=bool)
 
     for j in range(n):
         h = float(steps[j])
         r_now, th_now = r_path[j], th_path[j]
         r_next, th_next = r_path[j + 1], th_path[j + 1]
-        np.multiply(np.asarray(drift(r_now), dtype=float), h, out=r_next)
-        np.add(r_now, r_next, out=r_next)
-        r_next += np.multiply.outer(eps, w_inc[j]).ravel()
-        np.add(th_now, h, out=th_next)
-        th_next += np.multiply.outer(eps_ang, b_inc[j]).ravel()
-        cross = th_next >= alpha
-        if not cross.any():
+        np.multiply(np.asarray(drift(r_now), dtype=float), h, out=move)
+        move += r_now
+        r_next += move
+        np.add(th_now, h, out=move)
+        th_next += move
+        if not np.greater_equal(th_next, alpha, out=hits).any():
             continue
-        idx = np.flatnonzero(cross)
+        idx = np.flatnonzero(hits)
         # Crossing columns: state at the start of the (remaining) step, its
         # proposal, and the time left in the step.
         r_state, th_state = r_now[idx], th_now[idx]
@@ -172,7 +181,7 @@ def _advance_batch(spec: SystemSpec, eps: np.ndarray, eps_ang: np.ndarray,
             idx, rem = idx[cross], rem[cross]
             r_state, th_state = r_state[cross], th_state[cross]
             r_prop, th_prop = r_prop[cross], th_prop[cross]
-    return r_path, th_path, tau, pre, post, counts
+    return tau, pre, post, counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,23 +249,30 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     grid = simulation_grid(spec.alpha, horizon, dt)
     if n_max is None:
         n_max = default_impulse_cap(spec.alpha, horizon)
-    n = grid.steps.shape[0]
-    w_inc = np.empty((n, n_replicas))
-    b_inc = np.empty((n, n_replicas))
-    aux_w = np.empty((n_replicas, n_max))
-    aux_b = np.empty((n_replicas, n_max))
-    for i in range(n_replicas):
-        rec = BrownianRecord.generate(grid, replica_seed_sequence(master_seed, replica_offset + i), n_max)
-        w_inc[:, i] = rec.w_increments
-        b_inc[:, i] = rec.b_increments
-        aux_w[i] = rec.aux_w
-        aux_b[i] = rec.aux_b
+    n, m = grid.steps.shape[0], n_replicas
     eps = np.array([lv.epsilon for lv in levels])
     eps_ang = np.array([lv.angular_scale for lv in levels])
-    r_path, th_path, tau, pre, post, counts = _advance_batch(
-        spec, eps, eps_ang, grid, w_inc, b_inc, aux_w, aux_b, n_max)
+    r_path = np.empty((n + 1, eps.shape[0] * m))
+    th_path = np.empty_like(r_path)
+    aux_w, aux_b = np.empty((2, m, n_max))
+    w_stored = np.empty((n, m)) if store_increments else None
+    scale, blocks = np.sqrt(grid.steps), np.empty((2, _NOISE_BLOCK, n))
+    for start in range(0, m, _NOISE_BLOCK):
+        stop = min(start + _NOISE_BLOCK, m)
+        w, b = draws = blocks[:, : stop - start]
+        for k, i in enumerate(range(start, stop)):
+            _draw_normals(replica_seed_sequence(master_seed, replica_offset + i),
+                          w[k], b[k], aux_w[i], aux_b[i])
+        draws *= scale
+        for e in range(eps.shape[0]):
+            np.multiply(w.T, eps[e], out=r_path[1:, e * m + start: e * m + stop])
+            np.multiply(b.T, eps_ang[e], out=th_path[1:, e * m + start: e * m + stop])
+        if w_stored is not None:
+            w_stored[:, start:stop] = w.T
+    tau, pre, post, counts = _advance_batch(spec, eps, eps_ang, grid, r_path, th_path,
+                                            aux_w, aux_b, n_max)
     return BatchResult(grid=grid, r_values=r_path, theta_values=th_path, tau=tau, pre=pre,
-                       post=post, counts=counts, w_increments=w_inc if store_increments else None)
+                       post=post, counts=counts, w_increments=w_stored)
 
 
 @dataclass(frozen=True)

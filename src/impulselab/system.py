@@ -227,11 +227,6 @@ class SystemSpec:
                    alpha=float(alpha), r0=float(r0),
                    drift_derivative=drift.derivative)
 
-    @property
-    def log_slope_excess(self) -> float:
-        """log of max(reset slope bound, 1); zero for contractive resets."""
-        return math.log(max(self.reset_slope_bound, 1.0))
-
 
 @dataclass(frozen=True)
 class ImpulseSchedule:

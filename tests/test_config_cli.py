@@ -310,6 +310,19 @@ class TestCliCommands:
         out = tmp_path / "fpt.csv"
         assert main(["fpt", "--alpha", alpha, "--eps-p", "0.2", "--grid", "0.5:2.0:4",
                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: --alpha: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha, eps_p, message", [
+        ("-1", "0.2", "--alpha: alpha must be positive"),
+        ("1.0", "0", "--eps-p: angular noise scale must lie in (0, 1)"),
+        ("1.0", "1.5", "--eps-p: angular noise scale must lie in (0, 1)"),
+        ("1.0", "nan", "--eps-p: angular noise scale must lie in (0, 1)"),
+    ])
+    def test_fpt_errors_name_their_flag(self, tmp_path, capsys, alpha, eps_p, message):
+        out = tmp_path / "fpt.csv"
+        assert main(["fpt", "--alpha", alpha, "--eps-p", eps_p, "--grid", "0.5:2.0:4",
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 

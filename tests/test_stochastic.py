@@ -1,5 +1,6 @@
 """Noisy simulation: reproducibility, hitting times, good-set classification."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import impulselab.stochastic as stochastic
 from impulselab import (
     BrownianRecord,
     ImpulseSchedule,
@@ -97,6 +99,9 @@ class TestZeroNoiseDegeneracy:
             assert np.max(np.abs(schedule.times - expected)) <= ALPHA / 400
 
 
+_PINNED_BATCH = "0ea1038696ca24c42e3c4582eaaa68baaaa08cf2f789f796f3c34de41a907eec"
+
+
 class TestReproducibility:
     def test_bit_identical_repeat(self, halving_spec, noise):
         a = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
@@ -123,6 +128,30 @@ class TestReproducibility:
             np.testing.assert_array_equal(whole.r_values[:, lo:hi], part.r_values)
             np.testing.assert_array_equal(whole.theta_values[:, lo:hi], part.theta_values)
             assert np.array_equal(whole.tau[lo:hi], part.tau, equal_nan=True)
+
+    def test_batch_is_pinned(self, halving_spec):
+        # Seeded outputs are a contract: this digest of every array of one
+        # four-level batch moves only with a declared change of seeded numbers.
+        levels = tuple(NoiseParams(epsilon=e, p=2.0) for e in (0.0, 0.05, 0.3, 0.9))
+        batch = simulate_batch(halving_spec, levels, horizon=4.0, dt=ALPHA / 400,
+                               master_seed=11, n_replicas=40, replica_offset=3,
+                               store_increments=True)
+        digest = hashlib.sha256()
+        for name in (*BATCH_FIELDS, "w_increments"):
+            digest.update(getattr(batch, name).tobytes())
+        assert digest.hexdigest() == _PINNED_BATCH
+
+    def test_stored_increments_are_the_records(self, halving_spec, noise):
+        replicas, offset = 70, 3
+        assert replicas > 2 * stochastic._NOISE_BLOCK  # the last noise block is partial
+        batch = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
+                               master_seed=6, n_replicas=replicas, replica_offset=offset,
+                               store_increments=True)
+        for i in range(replicas):
+            record = BrownianRecord.generate(batch.grid, replica_seed_sequence(6, offset + i),
+                                             batch.tau.shape[1])
+            np.testing.assert_array_equal(batch.w_increments[:, i], record.w_increments,
+                                          strict=True)
 
     def test_replica_streams_differ(self):
         a = replica_seed_sequence(0, 0).generate_state(4)

@@ -70,14 +70,6 @@ class TestSystemSpecValidation:
                                       alpha=1.0, r0=1.0)
         assert spec.drift_bound == 0.0
 
-    def test_log_slope_excess(self):
-        contractive = SystemSpec.from_models(constant_drift(0.1), linear_reset(0.5),
-                                             alpha=1.0, r0=1.0)
-        expanding = SystemSpec.from_models(constant_drift(0.1), linear_reset(2.0),
-                                           alpha=1.0, r0=1.0)
-        assert contractive.log_slope_excess == 0.0
-        assert expanding.log_slope_excess == pytest.approx(np.log(2.0))
-
 
 class TestImpactCount:
     def test_zero_time(self):
