@@ -18,12 +18,14 @@ slopes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
+    AlignmentError,
     ComplexityGuardError,
     DataError,
     InvalidDistortionError,
@@ -34,6 +36,9 @@ from .errors import (
 from ._text import format_float, open_dest
 
 _REL_TOL = 1e-9
+# Distortions one skorohod_oracle call may try; each costs about 1.4 ms on two
+# 3-jump paths at dt = 0.005.
+_ORACLE_BUDGET = 10_000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -323,10 +328,11 @@ class _Grid:
     regular step a bucket holds one or two points.
     """
 
-    def __init__(self, times, jump_index, alpha, det):
+    def __init__(self, det):
+        grid = det.grid
+        times, jump_index, alpha = grid.times, grid.boundary_indices, grid.alpha
         n = times.shape[0]
-        self.times, self.alpha = times, alpha
-        self.steps = np.diff(times)
+        self.times, self.alpha, self.steps = times, alpha, grid.steps
         self.last = n - 1
         self.scale = self.last / times[-1]
         buckets = self._bucket(times)
@@ -338,15 +344,12 @@ class _Grid:
         self.knots = np.concatenate([[0.0], times[jump_index], [times[-1]]])
         self.knot_index = np.concatenate([[0], jump_index, [n - 1]])
         self.jump_index = jump_index
-        jump_order = np.full(n, -1)
-        jump_order[jump_index] = np.arange(jump_index.shape[0])
-        self.jump_order = jump_order
-        self.jump_points = np.flatnonzero(jump_order >= 0)
-        det_r, det_theta, det_pre, det_post = det
-        self.det_r, self.det_pre, self.det_post = det_r, det_pre, det_post
-        self.det = (_grid_steps(det_r.copy(), self.steps, jump_index, det_pre, det_post),
-                    det_pre)
-        self.theta = _grid_steps(det_theta.copy(), self.steps, jump_index, alpha, 0.0)
+        self.jump_order = np.full(n, -1)
+        self.jump_order[jump_index] = np.arange(jump_index.shape[0])
+        self.det_r, self.det_pre, self.det_post = det.r_values, det.pre_radii, det.post_radii
+        self.det = (_grid_steps(det.r_values.copy(), self.steps, jump_index, det.pre_radii,
+                                det.post_radii), det.pre_radii)
+        self.theta = _grid_steps(det.theta_values.copy(), self.steps, jump_index, alpha, 0.0)
 
     def _bucket(self, t):
         b = (t * self.scale).astype(np.intp)
@@ -512,8 +515,8 @@ class _ReplicaBlock:
             width = t.shape[0]
             r1 = [steps[0] for steps, _ in firsts]
             th1 = grid.theta[0]
-            jumps1 = (self.offsets + grid.jump_points).ravel()
-            order1 = np.tile(grid.jump_order[grid.jump_points], self.good.shape[0])
+            jumps1 = (self.offsets + grid.jump_index).ravel()
+            order1 = np.tile(grid.jump_order[grid.jump_index], self.good.shape[0])
             u = self.lam_grid()
         else:
             width = t.shape[1]
@@ -551,59 +554,49 @@ def _pick(a, flat, width):
     return a[flat % width] if a.ndim == 1 else a.ravel()[flat]
 
 
-def batch_skorohod_upper(times, jump_index, alpha, det, noisy, good, trace=None,
-                         epsilon=0.0):
-    """:func:`skorohod_upper` for a batch of planar replicas on one shared grid.
+def batch_skorohod_upper(det, batch, levels, good, trace=None):
+    """:func:`skorohod_upper` for every column of a ``BatchResult``.
 
-    Every path is sampled on `times` (the grid, ending at the horizon) and
-    its state is (radius, angle); the angle jumps from `alpha` to 0 at each
-    jump. `det = (r, theta, pre, post)` is the deterministic path: grid
-    samples, and the radii just before and after its jumps, which sit at the
-    grid indices `jump_index`. `noisy = (r, theta, tau, pre, post, counts)`
-    holds the noisy columns laid out as in ``BatchResult``: grid samples of
-    shape (n + 1, C), impulse arrays of shape (C, n_max) valid up to
-    `counts`. Column c is compared under the aligning distortion through
-    (times[jump_index], tau[c]) when `good[c]`, else under the identity.
+    `det` is the ``DeterministicSolution`` and `batch` the ``BatchResult``
+    scored against it; both live on one grid, whose jump indices and wedge
+    angle are read from ``det.grid``. The batch's columns follow
+    ``BatchResult``'s layout over the noise levels `levels`, one entry per
+    level block: with M replicas, column ``e * M + i`` is replica i at level
+    ``levels[e]``. Column c is compared under the aligning distortion through
+    the deterministic jump times and ``batch.tau[c]`` when `good[c]`, else
+    under the identity.
 
-    `epsilon` is one noise level or a tuple of E levels. With E levels the
-    C = E * M columns follow the layout of a multi-level ``simulate_batch``:
-    column ``e * M + i`` is replica i at level ``epsilon[e]``.
-
-    Returns ``(to_det, to_first_order)``, each of shape (C,). The second
+    Returns ``(to_det, to_first_order)``, one entry per column. The second
     compares column ``e * M + i`` with the first-order path
-    ``det + epsilon[e] * trace[:, i]`` in the radius, where
+    ``det + levels[e] * trace[:, i]`` in the radius, where
     ``trace = (values, pre, post)`` is the output of ``fluctuation_trace``
     for the M replicas; it is None without a trace. Each entry equals
     ``skorohod_upper`` on the corresponding path objects, because the sup
     runs over the same points, grid ∪ λ⁻¹(grid ∪ tau) ∪ knots, with right
     values everywhere and left limits at the jump points.
     """
-    times = np.asarray(times, dtype=float)
-    jump_index = np.asarray(jump_index, dtype=np.intp)
-    r_values, theta_values, tau, pre, post, counts = noisy
-    tau, counts, good = np.asarray(tau, dtype=float), np.asarray(counts), np.asarray(good, bool)
-    pre, post = np.asarray(pre, dtype=float), np.asarray(post, dtype=float)
-    levels = np.atleast_1d(np.asarray(epsilon, dtype=float))
-    m = counts.shape[0]
+    times = det.grid.times
+    if not np.array_equal(batch.grid.times, times):
+        raise AlignmentError("batch and deterministic path live on different grids")
+    tau, counts, m = batch.tau, batch.counts, len(batch)
+    levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or m % levels.shape[0]:
         raise InvalidInputError("the noisy columns must split evenly over the noise levels")
     per_level = m // levels.shape[0]
-    n_points, n_jumps = times.shape[0], jump_index.shape[0]
+    n_points, n_jumps = times.shape[0], det.grid.n_impulses
     if good.any():
         legs = np.diff(tau[good, :n_jumps], axis=1, prepend=0.0, append=times[-1])
         if np.any(counts[good] != n_jumps) or not np.all(legs > 0):
             raise InvalidInputError("a good replica needs one increasing impulse time per "
                                     "deterministic jump, inside (0, T)")
-    grid = _Grid(times, jump_index, alpha, tuple(np.asarray(a, dtype=float) for a in det))
-    if trace is not None:
-        trace = tuple(np.asarray(a, dtype=float) for a in trace)
+    grid = _Grid(det)
     out = [np.empty(m) for _ in range(1 if trace is None else 2)]
     size = max(1, _POINT_BUDGET // n_points)
     for lo in range(0, m, size):
         rows = slice(lo, min(m, lo + size))
-        block = _ReplicaBlock(grid, np.ascontiguousarray(r_values[:, rows].T),
-                              np.ascontiguousarray(theta_values[:, rows].T),
-                              tau[rows], pre[rows], post[rows], counts[rows], good[rows])
+        block = _ReplicaBlock(grid, np.ascontiguousarray(batch.r_values[:, rows].T),
+                              np.ascontiguousarray(batch.theta_values[:, rows].T), tau[rows],
+                              batch.pre[rows], batch.post[rows], counts[rows], good[rows])
         firsts = [grid.det]
         if trace is not None:
             firsts.append(grid.first_order(trace, levels, np.arange(lo, rows.stop), per_level))
@@ -668,6 +661,8 @@ def skorohod_oracle(x1: CadlagPath, x2: CadlagPath, resolution: int = 16) -> flo
         np.concatenate([targets[:, None] + offsets[None, :], knots[:, None]], axis=None)
     )
     cands = cands[(cands > _REL_TOL) & (cands < horizon - _REL_TOL)]
+    if math.comb(cands.shape[0], knots.shape[0]) > _ORACLE_BUDGET:
+        raise ComplexityGuardError(f"oracle would try more than {_ORACLE_BUDGET} distortions")
     for images in itertools.combinations(cands, knots.shape[0]):
         kt = np.concatenate([[0.0], knots, [horizon]])
         kv = np.concatenate([[0.0], np.asarray(images), [horizon]])
@@ -690,30 +685,39 @@ def write_path_csv(path: CadlagPath, destination) -> None:
 
 
 def read_path_csv(source) -> CadlagPath:
-    """Inverse of :func:`write_path_csv`; round-trips samples exactly."""
+    """Inverse of :func:`write_path_csv`; round-trips samples exactly.
+
+    A file that is not such a CSV raises :class:`DataError` naming its line."""
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
         with open(source, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    if len(lines) < 3 or not lines[0].startswith("jump_times"):
-        raise DataError("not a path CSV: missing jump_times header")
-    head = lines[0].split(",")
-    jump_times = np.array([float(x) for x in head[1:]]) if len(head) > 1 else np.empty(0)
-    seg_times: list[list[float]] = []
-    seg_values: list[list[list[float]]] = []
-    for line in lines[2:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        k = int(parts[0])
-        while k >= len(seg_times):
-            seg_times.append([])
-            seg_values.append([])
-        seg_times[k].append(float(parts[1]))
-        seg_values[k].append([float(x) for x in parts[2:]])
+    if (len(lines) < 2 or not lines[0].startswith("jump_times")
+            or not lines[1].startswith("segment_index,t,value_1")):
+        raise DataError("not a path CSV: lines 1-2 are not its two headers")
+    width, number = len(lines[1].split(",")), 1
+    seg_times, seg_values = [], []
+    try:
+        jump_times = np.array([float(x) for x in lines[0].split(",")[1:]])
+        for number, line in enumerate(lines[2:], start=3):
+            if not line:
+                continue
+            row = [float(x) for x in line.split(",")]
+            if len(row) != width:
+                raise DataError(f"path CSV line {number}: {len(row)} fields, header has {width}")
+            if row[0] == len(seg_times):
+                seg_times.append([])
+                seg_values.append([])
+            elif not seg_times or row[0] != len(seg_times) - 1:
+                raise DataError(f"path CSV line {number}: segment index {row[0]:g} does not "
+                                f"follow {len(seg_times) - 1}")
+            seg_times[-1].append(row[1])
+            seg_values[-1].append(row[2:])
+    except ValueError:
+        raise DataError(f"path CSV line {number}: a field is not a number") from None
     if not seg_times:
-        raise DataError("path CSV contains no samples")
+        raise DataError("not a path CSV: no sample after line 2")
     horizon = seg_times[-1][-1]
     segments = [(np.array(t), np.array(v)) for t, v in zip(seg_times, seg_values)]
     return CadlagPath(horizon, segments, jump_times=jump_times if jump_times.size else None)

@@ -309,8 +309,8 @@ def _cmd_fpt(args) -> int:
         t0, t1, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError("--grid expects numeric t0:t1:n") from exc
-    if n < 2 or not t1 > t0:
-        raise ConfigError("--grid needs t1 > t0 and n >= 2")
+    if n < 2 or not -math.inf < t0 < t1 < math.inf:
+        raise ConfigError("--grid needs finite t0 < t1 and n >= 2")
     times = np.linspace(t0, t1, n)
     pdf = fpt_density(params, times)
     cdf = fpt_cdf(params, times)

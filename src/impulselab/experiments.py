@@ -161,7 +161,6 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool):
     """Shared driver. Returns (baseline rows, refined rows or None)."""
     grid = simulation_grid(spec.alpha, config.horizon, config.dt)
     det = integrate_deterministic(spec, grid)
-    det_arrays = (det.r_values, det.theta_values, det.pre_radii, det.post_radii)
     n_impulses = grid.n_impulses
     eps_grid = config.eps_grid
     deltas = [eps ** config.nu for eps in eps_grid]
@@ -186,10 +185,7 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool):
             good.append(good_set_mask(batch.tau[cols], batch.counts[cols], spec.alpha,
                                       n_impulses, delta))
             bad[e] += count - int(np.count_nonzero(good[-1]))
-        base, refined = batch_skorohod_upper(
-            grid.times, grid.boundary_indices, spec.alpha, det_arrays,
-            (batch.r_values, batch.theta_values, batch.tau, batch.pre, batch.post,
-             batch.counts), np.concatenate(good), trace, eps_grid)
+        base, refined = batch_skorohod_upper(det, batch, eps_grid, np.concatenate(good), trace)
         base_d[:, chunk] = base.reshape(-1, count)
         if compute_refined:
             refined_d[:, chunk] = refined.reshape(-1, count)

@@ -1,5 +1,7 @@
 """The batched distance kernel against the per-replica oracle, skorohod_upper."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +11,7 @@ import impulselab.cadlag as cadlag
 import impulselab.experiments as experiments
 import impulselab.stochastic as stochastic
 from impulselab import (
+    AlignmentError,
     BatchResult,
     ExperimentConfig,
     InvalidInputError,
@@ -33,15 +36,6 @@ from impulselab.system import ImpulseSchedule
 ALPHA = float(np.pi / 2)
 
 
-def kernel(spec, det, batch, good, trace, eps):
-    grid = det.grid
-    return batch_skorohod_upper(
-        grid.times, grid.boundary_indices, spec.alpha,
-        (det.r_values, det.theta_values, det.pre_radii, det.post_radii),
-        (batch.r_values, batch.theta_values, batch.tau, batch.pre, batch.post, batch.counts),
-        good, trace, eps)
-
-
 def oracle(spec, det, batch, good, trace, eps):
     """skorohod_upper on the path objects, one replica at a time."""
     grid = det.grid
@@ -59,7 +53,7 @@ def oracle(spec, det, batch, good, trace, eps):
 
 
 def assert_matches_oracle(spec, det, batch, good, trace, eps):
-    to_det, to_first = kernel(spec, det, batch, good, trace, eps)
+    to_det, to_first = batch_skorohod_upper(det, batch, (eps,), good, trace)
     want_det, want_first = oracle(spec, det, batch, good, trace, eps)
     np.testing.assert_allclose(to_det, want_det, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(to_first, want_first, rtol=1e-12, atol=0.0)
@@ -155,7 +149,7 @@ def test_kernel_is_bitwise_equal_on_acceptance_grid(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     assert 0 < np.count_nonzero(good) < len(batch)
     trace = fluctuation_trace(spec, det, batch.w_increments)
-    got = kernel(spec, det, batch, good, trace, 0.2)
+    got = batch_skorohod_upper(det, batch, (0.2,), good, trace)
     want = oracle(spec, det, batch, good, trace, 0.2)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -164,9 +158,9 @@ def test_zero_fluctuation_refined_equals_baseline_exactly(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     n, m = batch.r_values.shape[0], len(batch)
     zeros = (np.zeros((n, m)), np.zeros((2, m)), np.zeros((2, m)))
-    to_det, to_first = kernel(spec, det, batch, good, zeros, 0.2)
+    to_det, to_first = batch_skorohod_upper(det, batch, (0.2,), good, zeros)
     assert np.array_equal(to_first, to_det)
-    alone, none = kernel(spec, det, batch, good, None, 0.2)
+    alone, none = batch_skorohod_upper(det, batch, (0.2,), good)
     assert none is None and np.array_equal(alone, to_det)
 
 
@@ -181,7 +175,16 @@ def test_good_row_needs_n_increasing_impulses(acceptance_batch):
                          theta_values=batch.theta_values, tau=tau, pre=batch.pre,
                          post=batch.post, counts=batch.counts)
     with pytest.raises(InvalidInputError):
-        kernel(spec, det, broken, forced, None, 0.2)
+        batch_skorohod_upper(det, broken, (0.2,), forced)
+
+
+def test_batch_on_another_grid_is_refused(acceptance_batch):
+    spec, det, batch, good = acceptance_batch
+    coarse = simulate_batch(spec, NoiseParams(epsilon=0.2, p=2.0), 4.0, 2e-3, 0, 3)
+    nudged = replace(batch, grid=replace(batch.grid, times=np.nextafter(batch.grid.times, 5.0)))
+    for other, mask in ((coarse, np.zeros(3, dtype=bool)), (nudged, good)):
+        with pytest.raises(AlignmentError):
+            batch_skorohod_upper(det, other, (0.2,), mask)
 
 
 @settings(max_examples=60, deadline=None)

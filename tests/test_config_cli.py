@@ -326,6 +326,37 @@ class TestCliCommands:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0:inf:4", "-inf:1:4", "0:nan:4"])
+    def test_fpt_grid_must_be_finite(self, tmp_path, capsys, grid):
+        out = tmp_path / "fpt.csv"
+        assert main(["fpt", "--alpha", "1.0", "--eps-p", "0.2", f"--grid={grid}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --grid needs finite t0 < t1 and n >= 2\n")
+        assert not out.exists()
+
+    def test_malformed_path_csv_is_a_data_error(self, tmp_path, capsys):
+        good = ["jump_times,0.5", "segment_index,t,value_1", "0,0,1", "0,0.5,2", "1,0.5,0",
+                "1,1,1"]
+        cases = [
+            (good[:3] + ["0,x,2"] + good[4:], "path CSV line 4: a field is not a number"),
+            (good[:3] + ["0,0.5"] + good[4:], "path CSV line 4: 2 fields, header has 3"),
+            (good[:4] + ["2,0.5,0", "2,1,1"],
+             "path CSV line 5: segment index 2 does not follow 0"),
+            (good[:2], "not a path CSV: no sample after line 2"),
+        ]
+        path, bad, out = tmp_path / "p.csv", tmp_path / "bad.csv", tmp_path / "d.json"
+        path.write_text("\n".join(good) + "\n")
+        assert main(["skorohod", "--path1", str(path), "--path2", str(path),
+                     "--out", str(out)]) == 0
+        out.unlink()
+        for lines, message in cases:
+            bad.write_text("\n".join(lines) + "\n")
+            assert main(["skorohod", "--path1", str(path), "--path2", str(bad),
+                         "--out", str(out)]) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
     def test_oracle_resolution_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         assert main(["simulate", "--seed", "1", "--dt", "0.005", "--out", str(path)]) == 0
@@ -336,12 +367,16 @@ class TestCliCommands:
         assert main(argv + ["--resolution", "8"]) == 0
 
     def test_oracle_refusing_many_jumps_is_a_guard_error(self, tmp_path, capsys):
+        # Three jumps are refused before the search, which would try 171,700
+        # distortions at the default resolution.
         path = tmp_path / "p.csv"
-        assert main(["simulate", "--seed", "1", "--dt", "0.005", "--horizon", "9.0",
-                     "--out", str(path)]) == 0
-        assert main(["skorohod", "--path1", str(path), "--path2", str(path),
-                     "--oracle"]) == 3
-        assert "error: oracle handles at most 4 jumps" in capsys.readouterr().err
+        for horizon, message in (("9.0", "oracle handles at most 4 jumps"),
+                                 ("5.5", "oracle would try more than 10000 distortions")):
+            assert main(["simulate", "--seed", "1", "--dt", "0.005", "--horizon", horizon,
+                         "--out", str(path)]) == 0
+            assert main(["skorohod", "--path1", str(path), "--path2", str(path),
+                         "--oracle"]) == 3
+            assert f"error: {message}" in capsys.readouterr().err
 
     def test_simulate_seed_is_experiment_replica_zero(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -218,11 +218,7 @@ def per_epsilon_reference(config, spec):
         good = good_set_mask(batch.tau, batch.counts, spec.alpha, grid.n_impulses,
                              eps ** config.nu)
         trace = fluctuation_trace(spec, det, batch.w_increments)
-        distances = batch_skorohod_upper(
-            grid.times, grid.boundary_indices, spec.alpha,
-            (det.r_values, det.theta_values, det.pre_radii, det.post_radii),
-            (batch.r_values, batch.theta_values, batch.tau, batch.pre, batch.post,
-             batch.counts), good, trace, eps)
+        distances = batch_skorohod_upper(det, batch, (eps,), good, trace)
         for rows, d in zip((base_rows, refined_rows), distances):
             powered = d ** config.beta
             rows.append(EpsilonRow(epsilon=eps, mean_distance=float(np.mean(powered)),

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 import impulselab.cadlag as cadlag
 import impulselab.experiments as experiments
 from impulselab import (
+    DeterministicSolution,
     ExperimentConfig,
     InvalidInputError,
     NoiseParams,
+    SimulationGrid,
     clt_experiment,
     integrate_deterministic,
     lln_experiment,
@@ -22,10 +24,18 @@ from impulselab.fluctuation import fluctuation_trace
 from impulselab.stochastic import good_set_mask
 
 
+def flat_grid(grid):
+    """The kernel's tables for `grid`, around a deterministic path that is 0."""
+    n, k = grid.times.shape[0], grid.n_impulses
+    return cadlag._Grid(DeterministicSolution(grid, np.zeros(n), np.zeros(n), np.zeros(k),
+                                              np.zeros(k)))
+
+
 def grid_of(times):
     times = np.asarray(times, dtype=float)
-    det = (np.zeros_like(times), np.zeros_like(times), np.zeros(0), np.zeros(0))
-    return cadlag._Grid(times, np.zeros(0, dtype=np.intp), 1.0, det)
+    return flat_grid(SimulationGrid(times=times, steps=np.diff(times),
+                                    boundary_indices=np.zeros(0, dtype=int), alpha=1.0,
+                                    horizon=times[-1]))
 
 
 def queries(times, rng):
@@ -69,11 +79,9 @@ def test_near_grid_index_matches_locator_on_aligning_distortions(seed, rows, jit
     pushed further away, as searchsorted does."""
     rng = np.random.default_rng(seed)
     alpha, horizon = 1.0, 2.6
-    times = simulation_grid(alpha, horizon, 1e-2).times
-    jump_index = np.flatnonzero(np.isin(times, [1.0, 2.0]))
+    grid = flat_grid(simulation_grid(alpha, horizon, 1e-2))
+    times = grid.times
     n = times.shape[0]
-    det = (np.zeros(n), np.zeros(n), np.zeros(2), np.zeros(2))
-    grid = cadlag._Grid(times, jump_index, alpha, det)
     tau = np.array([1.0, 2.0]) + rng.uniform(-jitter, jitter, size=(rows, 2)) * alpha
     good = rng.random(rows) < 0.8
     block = cadlag._ReplicaBlock(grid, np.zeros((rows, n)), np.zeros((rows, n)), tau,
@@ -90,15 +98,19 @@ def test_near_grid_index_matches_locator_on_aligning_distortions(seed, rows, jit
 LEVELS = (0.05, 0.1, 0.2, 0.3)
 
 
+def simulate_levels(spec, levels, m):
+    return simulate_batch(spec, tuple(NoiseParams(epsilon=e, p=2.0) for e in levels), 4.0,
+                          spec.alpha / 200, 5, m, store_increments=True)
+
+
 @pytest.fixture(scope="module")
 def level_batch(halving_spec):
     """37 replicas at four levels on a coarse grid: a block holds more than
     one level's columns and straddles the level boundaries."""
-    horizon, dt, m = 4.0, halving_spec.alpha / 200, 37
-    grid = simulation_grid(halving_spec.alpha, horizon, dt)
+    m = 37
+    batch = simulate_levels(halving_spec, LEVELS, m)
+    grid = batch.grid
     det = integrate_deterministic(halving_spec, grid)
-    batch = simulate_batch(halving_spec, tuple(NoiseParams(epsilon=e, p=2.0) for e in LEVELS),
-                           horizon, dt, 5, m, store_increments=True)
     good = np.concatenate([
         good_set_mask(batch.tau[e * m:(e + 1) * m], batch.counts[e * m:(e + 1) * m],
                       halving_spec.alpha, grid.n_impulses, eps ** 1.5)
@@ -110,24 +122,17 @@ def level_batch(halving_spec):
     return halving_spec, det, batch, good, trace, m
 
 
-def call(spec, det, batch, cols, good, trace, epsilon):
-    grid = det.grid
-    return batch_skorohod_upper(
-        grid.times, grid.boundary_indices, spec.alpha,
-        (det.r_values, det.theta_values, det.pre_radii, det.post_radii),
-        (batch.r_values[:, cols], batch.theta_values[:, cols], batch.tau[cols],
-         batch.pre[cols], batch.post[cols], batch.counts[cols]), good[cols], trace, epsilon)
-
-
 @pytest.mark.parametrize("with_trace", [True, False])
 def test_one_call_over_levels_equals_one_call_per_level(level_batch, with_trace):
+    """Each level block scores as a one-level batch at its epsilon, whose
+    arrays are bitwise the block's."""
     spec, det, batch, good, trace, m = level_batch
     trace = trace if with_trace else None
-    everything = slice(None)
-    to_det, to_first = call(spec, det, batch, everything, good, trace, LEVELS)
+    to_det, to_first = batch_skorohod_upper(det, batch, LEVELS, good, trace)
     for e, eps in enumerate(LEVELS):
         cols = slice(e * m, (e + 1) * m)
-        want_det, want_first = call(spec, det, batch, cols, good, trace, eps)
+        alone = simulate_levels(spec, (eps,), m)
+        want_det, want_first = batch_skorohod_upper(det, alone, (eps,), good[cols], trace)
         assert np.array_equal(to_det[cols], want_det)
         if with_trace:
             assert np.array_equal(to_first[cols], want_first)
@@ -138,7 +143,7 @@ def test_one_call_over_levels_equals_one_call_per_level(level_batch, with_trace)
 def test_columns_must_split_over_the_levels(level_batch):
     spec, det, batch, good, trace, m = level_batch
     with pytest.raises(InvalidInputError):
-        call(spec, det, batch, slice(0, 4 * m - 1), good, trace, LEVELS)
+        batch_skorohod_upper(det, batch, LEVELS[:3], good, trace)
 
 
 @pytest.mark.parametrize("driver", [lln_experiment, clt_experiment])
@@ -147,7 +152,7 @@ def test_driver_scores_each_chunk_in_one_kernel_call(halving_spec, monkeypatch, 
     kernel = experiments.batch_skorohod_upper
 
     def counting_kernel(*args, **kwargs):
-        columns.append(len(args[5]))
+        columns.append(len(args[3]))
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "batch_skorohod_upper", counting_kernel)
