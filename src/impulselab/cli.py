@@ -397,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--alpha", type=float, required=True, help="mean level, > 0")
     q.add_argument("--eps-p", dest="eps_p", type=float, required=True,
                    help="angular noise scale epsilon**p, in (0, 1)")
-    q.add_argument("--grid", required=True, help="evaluation grid t0:t1:n with n >= 2")
+    q.add_argument("--grid", required=True,
+                   help="evaluation grid --grid=t0:t1:n, n >= 2 (the = admits t0 < 0)")
     q.add_argument("--out", default="-", help="output CSV path or - for stdout")
     q.set_defaults(func=_cmd_fpt)
 

@@ -28,9 +28,6 @@ def fluctuation_trace(spec: SystemSpec, det: DeterministicSolution,
     (values, pre, post): grid samples with the post-impulse convention at
     impulse indices, plus pre/post values at each impulse.
     """
-    if spec.drift_derivative is None:
-        raise ParameterError("fluctuation dynamics need the drift derivative; "
-                             "construct the system from a drift model that provides one")
     single = w_increments.ndim == 1
     w_inc = w_increments[:, None] if single else w_increments
     grid = det.grid
@@ -75,9 +72,9 @@ def fluctuation_path(spec: SystemSpec, det: DeterministicSolution,
                               grid.impulse_times(), pre[:, None], post[:, None])
 
 
-def first_order_on_grid(spec: SystemSpec, det: DeterministicSolution,
-                        trace_values: np.ndarray, trace_pre: np.ndarray,
-                        trace_post: np.ndarray, epsilon: float) -> CadlagPath:
+def first_order_on_grid(det: DeterministicSolution, trace_values: np.ndarray,
+                        trace_pre: np.ndarray, trace_post: np.ndarray,
+                        epsilon: float) -> CadlagPath:
     """Assemble x + epsilon*Z directly from one column of a batched trace.
 
     Jumps stay at the deterministic impulse times; the angle is not corrected.
@@ -89,7 +86,7 @@ def first_order_on_grid(spec: SystemSpec, det: DeterministicSolution,
     grid = det.grid
     combined = np.stack([det.r_values + epsilon * trace_values, det.theta_values], axis=1)
     n_imp = trace_pre.shape[0]
-    pre_states = np.stack([det.pre_radii + epsilon * trace_pre, np.full(n_imp, spec.alpha)], axis=1)
+    pre_states = np.stack([det.pre_radii + epsilon * trace_pre, np.full(n_imp, grid.alpha)], axis=1)
     post_states = np.stack([det.post_radii + epsilon * trace_post, np.zeros(n_imp)], axis=1)
     return assemble_from_grid(grid.horizon, grid.times, combined,
                               grid.impulse_times(), pre_states, post_states)

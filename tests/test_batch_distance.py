@@ -36,10 +36,10 @@ from impulselab.system import ImpulseSchedule
 ALPHA = float(np.pi / 2)
 
 
-def oracle(spec, det, batch, good, trace, eps):
+def oracle(det, batch, good, trace, eps):
     """skorohod_upper on the path objects, one replica at a time."""
     grid = det.grid
-    det_path = solution_to_path(spec, det)
+    det_path = solution_to_path(det)
     to_det, to_first = [], []
     for i in range(len(batch)):
         noisy = batch.path(i)
@@ -47,14 +47,14 @@ def oracle(spec, det, batch, good, trace, eps):
                                         grid.horizon, bool(good[i]))
         to_det.append(skorohod_upper(det_path, noisy, lam))
         values, pre, post = trace
-        approx = first_order_on_grid(spec, det, values[:, i], pre[:, i], post[:, i], eps)
+        approx = first_order_on_grid(det, values[:, i], pre[:, i], post[:, i], eps)
         to_first.append(skorohod_upper(approx, noisy, lam))
     return np.array(to_det), np.array(to_first)
 
 
-def assert_matches_oracle(spec, det, batch, good, trace, eps):
+def assert_matches_oracle(det, batch, good, trace, eps):
     to_det, to_first = batch_skorohod_upper(det, batch, (eps,), good, trace)
-    want_det, want_first = oracle(spec, det, batch, good, trace, eps)
+    want_det, want_first = oracle(det, batch, good, trace, eps)
     np.testing.assert_allclose(to_det, want_det, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(to_first, want_first, rtol=1e-12, atol=0.0)
 
@@ -75,7 +75,7 @@ def test_kernel_matches_oracle_on_simulated_batches(seed, eps, p, n_imp, frac, s
     delta = shrink * min(ALPHA / 4, horizon - n_imp * ALPHA)
     good = good_set_mask(batch.tau, batch.counts, ALPHA, n_imp, delta)
     trace = fluctuation_trace(spec, det, batch.w_increments)
-    assert_matches_oracle(spec, det, batch, good, trace, eps)
+    assert_matches_oracle(det, batch, good, trace, eps)
 
 
 def test_simulated_examples_reach_impulse_counts_other_than_n():
@@ -132,7 +132,7 @@ def test_kernel_matches_oracle_on_hand_built_jumps(seed, first, on_grid, inside,
                         tau=tau, pre=pre, post=post, counts=counts)
     good = np.array([True, False, False, False])
     trace = (rng.normal(size=(n, m)), rng.normal(size=(2, m)), rng.normal(size=(2, m)))
-    assert_matches_oracle(spec, det, batch, good, trace, eps)
+    assert_matches_oracle(det, batch, good, trace, eps)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +150,7 @@ def test_kernel_is_bitwise_equal_on_acceptance_grid(acceptance_batch):
     assert 0 < np.count_nonzero(good) < len(batch)
     trace = fluctuation_trace(spec, det, batch.w_increments)
     got = batch_skorohod_upper(det, batch, (0.2,), good, trace)
-    want = oracle(spec, det, batch, good, trace, 0.2)
+    want = oracle(det, batch, good, trace, 0.2)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 

@@ -60,7 +60,8 @@ class TestLoadConfig:
                 load_config(str(f))
 
     @pytest.mark.parametrize("section, key, value", [
-        ("model", "r0", "0"), ("noise", "epsilon", "1.5"), ("noise", "sigma", "2"),
+        ("model", "r0", "0"), ("model", "drift.kind", "quadratic"),
+        ("noise", "epsilon", "1.5"), ("noise", "sigma", "2"),
         ("numerics", "dt", "0"), ("numerics", "horizon", "-1"), ("numerics", "seed", "-1"),
         ("experiment", "mode", "both"), ("experiment", "eps_grid", "0.1, 1.5"),
         ("experiment", "eps_grid", ","), ("experiment", "replicas", "0"),
@@ -210,6 +211,10 @@ class TestCliCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,pdf,cdf"
         assert len(lines) == 5
+        # With the =, a negative t0 is not taken for a flag.
+        assert main(["fpt", "--alpha", "1.0", "--eps-p", "0.2",
+                     "--grid=-1:1:4", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "-1,0,0"
 
     def test_skorohod_between_stored_paths(self, tmp_path):
         p1 = tmp_path / "p1.csv"
@@ -326,13 +331,17 @@ class TestCliCommands:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["0:inf:4", "-inf:1:4", "0:nan:4"])
+    GRID_ERRORS = {"0:inf:4": "needs finite t0 < t1 and n >= 2",
+                   "-inf:1:4": "needs finite t0 < t1 and n >= 2",
+                   "0:nan:4": "needs finite t0 < t1 and n >= 2",
+                   "0:1": "expects t0:t1:n", "0:x:3": "expects numeric t0:t1:n"}
+
+    @pytest.mark.parametrize("grid", list(GRID_ERRORS))
     def test_fpt_grid_must_be_finite(self, tmp_path, capsys, grid):
         out = tmp_path / "fpt.csv"
         assert main(["fpt", "--alpha", "1.0", "--eps-p", "0.2", f"--grid={grid}",
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "config error: --grid needs finite t0 < t1 and n >= 2\n")
+        assert capsys.readouterr().err == f"config error: --grid {self.GRID_ERRORS[grid]}\n"
         assert not out.exists()
 
     def test_malformed_path_csv_is_a_data_error(self, tmp_path, capsys):
@@ -417,6 +426,18 @@ class TestCliCommands:
         ("reset", "saturating\nreset.params = 0", "saturating reset scale must be positive"),
         ("reset", "custom-table\nreset.params = 0:0, 1:0.5, 2:0.4, 3:0.6",
          "reset table values must strictly increase"),
+        ("drift", "custom-table\ndrift.params = 0:0, 1 0.1, 2:0.2, 3:0.3",
+         "expected comma-separated x:value pairs"),
+        ("drift", "constant\ndrift.params = nan", "drift level must be finite"),
+        ("drift", "tanh\ndrift.params = -inf", "tanh drift scale must be finite"),
+        ("reset", "linear\nreset.params = nan", "linear reset slope must be finite"),
+        ("reset", "saturating\nreset.params = inf", "saturating reset scale must be finite"),
+        ("drift", "custom-table\ndrift.params = 0:0, 1:nan, 2:0.2, 3:0.3",
+         "drift table entries must be finite"),
+        ("reset", "custom-table\nreset.params = 0:0, nan:2, 2:2.5, 3:3",
+         "reset table entries must be finite"),
+        ("reset", "custom-table\nreset.params = 0:0, 1:inf, 2:2.5, 3:3",
+         "reset table entries must be finite"),
     ])
     def test_model_family_error_names_its_key(self, tmp_path, capsys, kind, params, message):
         cfg = tmp_path / "model.ini"

@@ -14,15 +14,12 @@ from impulselab import (
     ExperimentConfig,
     FptParams,
     NoiseParams,
-    SystemSpec,
     clt_experiment,
-    constant_drift,
     fit_rate,
     fpt_cdf,
     good_set_probability_bound,
     integrate_deterministic,
     ks_test,
-    linear_reset,
     lln_experiment,
     simulate_batch,
     simulation_grid,

@@ -6,7 +6,6 @@ import pytest
 from impulselab import (
     AlignmentError,
     BrownianRecord,
-    DriftModel,
     ParameterError,
     ResetModel,
     SystemSpec,
@@ -60,8 +59,7 @@ class TestFluctuationTrace:
     def test_annihilating_reset_restarts(self):
         drift = constant_drift(0.2)
         reset = ResetModel(fn=lambda r: np.asarray(r, dtype=float),
-                           derivative=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                           slope_bound=1.0)
+                           derivative=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
         spec = SystemSpec.from_models(drift, reset, alpha=1.0, r0=1.0)
         grid = simulation_grid(1.0, 2.5, 1e-3)
         det = integrate_deterministic(spec, grid)
@@ -130,37 +128,25 @@ class TestFluctuationPath:
             fluctuation_path(spec, det,
                              BrownianRecord.generate(coarse, replica_seed_sequence(1, 0), 8))
 
-    def test_missing_drift_derivative_rejected(self, unit_setup):
-        _, grid, det, record = unit_setup
-        bare = SystemSpec(drift=lambda r: np.full_like(np.asarray(r, dtype=float), 0.2),
-                          drift_bound=0.2,
-                          reset=lambda r: 0.5 * np.asarray(r, dtype=float),
-                          reset_derivative=lambda r: np.full_like(np.asarray(r, dtype=float), 0.5),
-                          reset_slope_bound=0.5, alpha=1.0, r0=1.0)
-        with pytest.raises(ParameterError):
-            fluctuation_path(bare, det, record)
-        with pytest.raises(ParameterError):
-            fluctuation_trace(bare, det, record.w_increments)
-
 
 def first_order(spec, det, record, epsilon):
     values, pre, post = fluctuation_trace(spec, det, record.w_increments)
-    return first_order_on_grid(spec, det, values, pre, post, epsilon)
+    return first_order_on_grid(det, values, pre, post, epsilon)
 
 
 class TestFirstOrderApproximation:
     def test_zero_epsilon_returns_deterministic(self, unit_setup):
         spec, _, det, record = unit_setup
-        det_path = solution_to_path(spec, det)
+        det_path = solution_to_path(det)
         approx = first_order(spec, det, record, 0.0)
         for sa, sb in zip(approx.segments, det_path.segments):
             np.testing.assert_array_equal(sa.values, sb.values)
 
     def test_zero_correction_returns_deterministic(self, unit_setup):
         spec, grid, det, _ = unit_setup
-        det_path = solution_to_path(spec, det)
+        det_path = solution_to_path(det)
         zeros = np.zeros(grid.times.shape[0])
-        approx = first_order_on_grid(spec, det, zeros, np.zeros(2), np.zeros(2), 0.3)
+        approx = first_order_on_grid(det, zeros, np.zeros(2), np.zeros(2), 0.3)
         for sa, sb in zip(approx.segments, det_path.segments):
             np.testing.assert_array_equal(sa.values, sb.values)
 
@@ -188,4 +174,4 @@ class TestFirstOrderApproximation:
         other_grid = simulation_grid(1.0, 2.5, 2e-3)
         other_det = integrate_deterministic(spec, other_grid)
         with pytest.raises(AlignmentError):
-            first_order_on_grid(spec, other_det, values, pre, post, 0.1)
+            first_order_on_grid(other_det, values, pre, post, 0.1)

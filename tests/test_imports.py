@@ -1,0 +1,55 @@
+"""Every name the package and its tests import is read somewhere."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names never read as a plain name, in order of appearance.
+
+    Exempt: `__future__` imports, names listed in `__all__`, star imports, and
+    any import whose lines carry `# noqa: F401`.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*" and name not in read and name not in exported:
+                unused.append(name)
+    return unused
+
+
+def test_unused_imports_finds_what_is_never_read():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path as osp\n"
+              "from math import pi, tau  # noqa: F401\n"
+              "from json import dumps, loads\n"
+              "__all__ = ['loads']\n"
+              "print(os.sep)\n")
+    assert unused_imports(source) == ["osp", "dumps"]
+
+
+def test_no_unused_imports_in_src_or_tests():
+    found = {}
+    for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]):
+        names = unused_imports(path.read_text(encoding="utf-8"))
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {}

@@ -43,32 +43,30 @@ class TestSystemSpecValidation:
             SystemSpec.from_models(constant_drift(0.1), linear_reset(0.5),
                                    alpha=1.0, r0=0.0)
 
+    @staticmethod
+    def spec_with_reset(reset):
+        return SystemSpec(drift=lambda r: np.zeros_like(r),
+                          drift_derivative=lambda r: np.zeros_like(r),
+                          reset=reset,
+                          reset_derivative=lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                          alpha=1.0, r0=1.0)
+
     def test_reset_must_fix_origin(self):
-        with pytest.raises(ParameterError):
-            SystemSpec(drift=lambda r: np.zeros_like(r), drift_bound=0.0,
-                       reset=lambda r: np.asarray(r, dtype=float) + 1.0,
-                       reset_derivative=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                       reset_slope_bound=1.0, alpha=1.0, r0=1.0)
+        for reset in (lambda r: np.asarray(r, dtype=float) + 1.0,
+                      lambda r: np.asarray(r, dtype=float) + np.nan):
+            with pytest.raises(ParameterError, match="fix the origin"):
+                self.spec_with_reset(reset)
 
     def test_reset_must_increase(self):
-        with pytest.raises(ParameterError):
-            SystemSpec(drift=lambda r: np.zeros_like(r), drift_bound=0.0,
-                       reset=lambda r: -np.asarray(r, dtype=float),
-                       reset_derivative=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
-                       reset_slope_bound=1.0, alpha=1.0, r0=1.0)
-
-    def test_declared_drift_bound_checked(self):
-        with pytest.raises(ParameterError):
-            SystemSpec(drift=lambda r: np.full_like(np.asarray(r, dtype=float), 2.0),
-                       drift_bound=1.0,
-                       reset=lambda r: np.asarray(r, dtype=float),
-                       reset_derivative=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                       reset_slope_bound=1.0, alpha=1.0, r0=1.0)
+        for reset in (lambda r: -np.asarray(r, dtype=float),
+                      lambda r: np.where(np.asarray(r) > 1.0, np.nan, r)):
+            with pytest.raises(ParameterError, match="strictly increasing"):
+                self.spec_with_reset(reset)
 
     def test_zero_drift_allowed(self):
         spec = SystemSpec.from_models(constant_drift(0.0), linear_reset(1.0),
                                       alpha=1.0, r0=1.0)
-        assert spec.drift_bound == 0.0
+        assert spec.drift(1.0) == 0.0
 
 
 class TestImpactCount:
