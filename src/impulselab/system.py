@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .cadlag import CadlagPath, assemble_from_grid
 from .errors import HorizonError, ParameterError, ResolutionError
@@ -104,7 +103,10 @@ def _table(points, what: str):
     return xs, ys
 
 
-def _odd_pchip(xs: np.ndarray, ys: np.ndarray) -> PchipInterpolator:
+def _odd_pchip(xs: np.ndarray, ys: np.ndarray):
+    # Local: scipy.interpolate costs about 0.6 s and 50 MB at import.
+    from scipy.interpolate import PchipInterpolator
+
     # Mirror the table through the origin so the interpolant is odd.
     xs_full = np.concatenate([-xs[::-1], xs[1:]]) if xs[0] == 0 else np.concatenate([-xs[::-1], xs])
     ys_full = np.concatenate([-ys[::-1], ys[1:]]) if xs[0] == 0 else np.concatenate([-ys[::-1], ys])
@@ -117,6 +119,9 @@ def table_drift(points) -> DriftModel:
     Outside the table hull the drift is clamped to its boundary values, so it
     stays bounded on all of R as the model assumes.
     """
+    # Local: scipy.interpolate costs about 0.6 s and 50 MB at import.
+    from scipy.interpolate import PchipInterpolator
+
     xs, ys = _table(points, "drift")
     interp = PchipInterpolator(xs, ys, extrapolate=False)
     deriv_in = interp.derivative()

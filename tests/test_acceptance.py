@@ -273,8 +273,7 @@ def _cli_command():
     exe = shutil.which("impulselab")
     if exe is not None:
         return [exe]
-    return [sys.executable, "-c",
-            "import sys; from impulselab.cli import main; sys.exit(main(sys.argv[1:]))"]
+    return [sys.executable, "-m", "impulselab"]
 
 
 def test_criterion_10_cli_reproducibility(tmp_path):
