@@ -656,6 +656,14 @@ def skorohod_oracle(x1: CadlagPath, x2: CadlagPath, resolution: int = 16) -> flo
     r_eff = 1 << (int(resolution).bit_length() - 1)
     anchors = np.unique(np.concatenate([[0.0], targets, [horizon]]))
     width = float(np.min(np.diff(anchors))) / 2.0
+    # The interior offsets (|k| < r_eff) of distinct targets fall in disjoint
+    # open intervals inside (0, horizon); while the offset step spans a few
+    # ulps they stay distinct after rounding, so this floor on the candidate
+    # count refuses a large resolution before its candidates are allocated.
+    if width > _REL_TOL and width / r_eff > 4.0 * np.spacing(horizon):
+        at_least = targets.shape[0] * (2 * r_eff - 1)
+        if math.comb(at_least, knots.shape[0]) > _ORACLE_BUDGET:
+            raise ComplexityGuardError(f"oracle would try more than {_ORACLE_BUDGET} distortions")
     offsets = width * np.arange(-r_eff, r_eff + 1) / r_eff
     cands = np.unique(
         np.concatenate([targets[:, None] + offsets[None, :], knots[:, None]], axis=None)

@@ -2,9 +2,11 @@
 
 Config files use a flat INI-style schema with sections [model], [noise],
 [numerics], [experiment]; every key has a default in `_DEFAULTS`, so an empty
-file (or no --config at all) runs the stock example system. Unknown sections
-or keys are rejected, and every constraint violation is reported as
-section.key: message.
+file (or no --config at all) runs the stock example system. A subcommand's
+flags (--epsilon, --p, --sigma, --dt, --horizon, --seed, --mode) replace the
+file's value of the key they name before anything is parsed or validated, so a
+valid flag overrides an invalid file value. Unknown sections or keys are
+rejected, and every constraint violation is reported as section.key: message.
 
 Each artefact has one writer. `trajectory`, `simulate` and `fluctuation` write
 a path CSV (`simulate` adds a `.impulses.csv` sidecar), `fpt` a t, pdf, cdf
@@ -22,8 +24,7 @@ import configparser
 import json
 import math
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +74,7 @@ class RunConfig:
     """Validated bundle of system, noise, numerics, and experiment settings."""
 
     system: SystemSpec
-    epsilon: float
-    sigma: int
+    noise: NoiseParams
     mode: str
     experiment: ExperimentConfig
 
@@ -82,12 +82,8 @@ class RunConfig:
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {', '.join(_MODES)}", field="mode")
 
-    # [numerics] and noise.p live in `experiment` alone; every subcommand
-    # reads them here.
-    @property
-    def noise(self) -> NoiseParams:
-        return NoiseParams(epsilon=self.epsilon, p=self.experiment.p, sigma=self.sigma)
-
+    # The [numerics] values live in `experiment` alone; every subcommand reads
+    # them here.
     @property
     def dt(self) -> float:
         return self.experiment.dt
@@ -144,11 +140,15 @@ def _build_model(part: str, families: dict, kind: str, params: str):
         raise ConfigError(f"model.{key}: {exc}") from exc
 
 
-def load_config(path: str | None) -> RunConfig:
+def load_config(path: str | None, flags: dict | None = None) -> RunConfig:
     """Read, default-fill, and fully validate a config file.
 
-    `path=None` yields the all-defaults configuration.
+    `path=None` yields the all-defaults configuration. `flags` maps config
+    key names to a subcommand's flag values, as `vars(args)` does; a value
+    that is not None replaces the file's before it is parsed, and names that
+    are not config keys are ignored.
     """
+    flags = flags or {}
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
@@ -166,6 +166,8 @@ def load_config(path: str | None) -> RunConfig:
                 raise ConfigError(f"{section}.{key}: unknown key")
 
     def raw(section: str, key: str) -> str:
+        if flags.get(key) is not None:
+            return str(flags[key])
         if parser.has_option(section, key):
             return parser.get(section, key).strip()
         return _DEFAULTS[(section, key)]
@@ -182,7 +184,7 @@ def load_config(path: str | None) -> RunConfig:
     seed = intval("numerics", "seed")
     eps_grid = tuple(_parse_value("experiment", "eps_grid", item.strip(), float)
                      for item in raw("experiment", "eps_grid").split(",") if item.strip())
-    with _config_errors():
+    try:
         drift = _build_model("drift", _DRIFTS, raw("model", "drift.kind"),
                              raw("model", "drift.params"))
         reset = _build_model("reset", _RESETS, raw("model", "reset.kind"),
@@ -196,8 +198,17 @@ def load_config(path: str | None) -> RunConfig:
                                       beta=intval("experiment", "beta"),
                                       nu=floatval("experiment", "nu"), p=p, dt=dt,
                                       horizon=horizon, master_seed=seed)
-        return RunConfig(system=system, epsilon=noise.epsilon, sigma=noise.sigma,
-                         mode=raw("experiment", "mode"), experiment=experiment)
+        return RunConfig(system=system, noise=noise, mode=raw("experiment", "mode"),
+                         experiment=experiment)
+    except ImpulseLabError as exc:
+        # A value that fails validation is reported against the config key of
+        # the field that was rejected.
+        key = _CONFIG_KEYS.get(exc.field)
+        if key is not None:
+            raise ConfigError(f"{key}: {exc}") from exc
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(str(exc)) from exc
 
 
 def _report_summary(report: ExperimentReport) -> dict:
@@ -232,39 +243,8 @@ def _write_json(payload: dict, destination) -> None:
         fh.write("\n")
 
 
-@contextmanager
-def _config_errors():
-    """Values from the user that fail validation are config errors, reported
-    against the config key of the field that was rejected."""
-    try:
-        yield
-    except ImpulseLabError as exc:
-        key = _CONFIG_KEYS.get(exc.field)
-        if key is not None:
-            raise ConfigError(f"{key}: {exc}") from exc
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-
-def _with_overrides(cfg: RunConfig, args) -> RunConfig:
-    """`cfg` with the subcommand's flags applied and validated like the file."""
-    def given(*names):
-        return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
-
-    numerics = given("dt", "horizon")
-    if getattr(args, "seed", None) is not None:
-        numerics["master_seed"] = args.seed
-    with _config_errors():
-        # NoiseParams first, so that a bad --p is reported as noise.p.
-        noise = replace(cfg.noise, **given("epsilon", "p", "sigma"))
-        experiment = replace(cfg.experiment, p=noise.p, **numerics)
-        return replace(cfg, epsilon=noise.epsilon, sigma=noise.sigma, experiment=experiment,
-                       **given("mode"))
-
-
 def _cmd_trajectory(args) -> int:
-    cfg = _with_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, vars(args))
     path, _ = deterministic_trajectory(cfg.system, cfg.horizon, cfg.dt)
     write_path_csv(path, args.out)
     return 0
@@ -275,7 +255,7 @@ def _sidecar(out: str, suffix: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _with_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, vars(args))
     batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, cfg.seed, 1)
     write_path_csv(batch.path(0), args.out)
     if args.out != "-":
@@ -284,7 +264,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fluctuation(args) -> int:
-    cfg = _with_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, vars(args))
     alpha = cfg.system.alpha
     _check_stochastic_dt(alpha, cfg.dt)
     grid = simulation_grid(alpha, cfg.horizon, cfg.dt)
@@ -335,8 +315,8 @@ def _cmd_skorohod(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _with_overrides(load_config(args.config), args)
-    if cfg.sigma != 1:
+    cfg = load_config(args.config, vars(args))
+    if cfg.noise.sigma != 1:
         # The experiment driver always simulates with angular noise on.
         raise ConfigError("noise.sigma: experiments need angular noise, sigma = 1")
     if cfg.mode == "lln":

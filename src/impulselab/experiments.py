@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError("good-set exponent nu must lie in (1, p)", field="nu")
         if not self.dt > 0.0:
             raise ConfigError("step must be positive", field="dt")
+        if self.dt == math.inf:
+            raise ConfigError("step must be finite", field="dt")
         if not self.horizon > 0.0:
             raise ConfigError("horizon must be positive", field="horizon")
         if self.horizon == math.inf:

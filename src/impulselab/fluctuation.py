@@ -11,12 +11,14 @@ with Z = (R1, 0).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .cadlag import CadlagPath, assemble_from_grid
 from .errors import AlignmentError, ParameterError
 from .stochastic import BrownianRecord
-from .system import DeterministicSolution, SystemSpec
+from .system import DeterministicSolution, SystemSpec, solution_to_path
 
 
 def fluctuation_trace(spec: SystemSpec, det: DeterministicSolution,
@@ -83,10 +85,6 @@ def first_order_on_grid(det: DeterministicSolution, trace_values: np.ndarray,
         raise ParameterError("epsilon must be nonnegative")
     if trace_values.shape != det.r_values.shape:
         raise AlignmentError("correction and deterministic path live on different grids")
-    grid = det.grid
-    combined = np.stack([det.r_values + epsilon * trace_values, det.theta_values], axis=1)
-    n_imp = trace_pre.shape[0]
-    pre_states = np.stack([det.pre_radii + epsilon * trace_pre, np.full(n_imp, grid.alpha)], axis=1)
-    post_states = np.stack([det.post_radii + epsilon * trace_post, np.zeros(n_imp)], axis=1)
-    return assemble_from_grid(grid.horizon, grid.times, combined,
-                              grid.impulse_times(), pre_states, post_states)
+    return solution_to_path(replace(det, r_values=det.r_values + epsilon * trace_values,
+                                    pre_radii=det.pre_radii + epsilon * trace_pre,
+                                    post_radii=det.post_radii + epsilon * trace_post))

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,20 @@ class TestSkorohodOracle:
         many = CadlagPath(1.0, segs)
         with pytest.raises(ComplexityGuardError):
             skorohod_oracle(many, ragged)
+
+    def test_large_resolution_refused_before_allocating(self):
+        x1, x2 = step_path(0.4, 1.0), step_path(0.5, 1.0)
+        assert skorohod_oracle(x1, x2, resolution=4096) == pytest.approx(math.log(1.25),
+                                                                         abs=1e-3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ComplexityGuardError, match="more than 10000 distortions"):
+                skorohod_oracle(x1, x2, resolution=2 ** 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The 2**21 + 1 candidate offsets alone would take 16 MB.
+        assert peak < 1_000_000
 
     def test_resolution_floor(self):
         path = step_path(0.4, 1.0)

@@ -21,7 +21,7 @@ from impulselab import (
     write_path_csv,
 )
 from impulselab.fluctuation import fluctuation_trace
-from impulselab.cli import _with_overrides, _write_schedule_csv, build_parser, main
+from impulselab.cli import _write_schedule_csv, build_parser, main
 
 
 class TestLoadConfig:
@@ -289,6 +289,8 @@ class TestCliCommands:
         (["trajectory", "--dt", "nan"], "", "numerics.dt: step must be positive"),
         (["simulate", "--dt", "nan"], "", "numerics.dt: step must be positive"),
         (["simulate"], "[numerics]\ndt = nan\n", "numerics.dt: step must be positive"),
+        (["trajectory", "--dt", "inf"], "", "numerics.dt: step must be finite"),
+        (["fluctuation"], "[numerics]\ndt = inf\n", "numerics.dt: step must be finite"),
         (["simulate", "--horizon", "nan"], "", "numerics.horizon: horizon must be positive"),
         (["fluctuation", "--horizon", "inf"], "", "numerics.horizon: horizon must be finite"),
         (["trajectory"], "[numerics]\nhorizon = inf\n",
@@ -308,6 +310,34 @@ class TestCliCommands:
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {key}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, ini", [
+        (["simulate", "--p", "2"], "[noise]\np = 0.9\n"),
+        (["simulate", "--epsilon", "0.2"], "[noise]\nepsilon = 1.5\n"),
+        (["fluctuation", "--seed", "3"], "[numerics]\nseed = -1\n"),
+        (["trajectory", "--dt", "0.005"], "[numerics]\ndt = nan\n"),
+        (["trajectory", "--horizon", "3.5"], "[numerics]\nhorizon = inf\n"),
+        (["experiment", "--mode", "lln"],
+         "[experiment]\nmode = bogus\neps_grid = 0.1, 0.2\nreplicas = 3\n"
+         "[numerics]\ndt = 2e-3\n"),
+    ])
+    def test_a_valid_flag_overrides_an_invalid_file_value(self, tmp_path, capsys, argv, ini):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
+
+    def test_an_invalid_file_is_refused_alike_by_every_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[experiment]\nnu = 3\n")
+        for command in ("trajectory", "simulate", "fluctuation", "experiment"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == (
+                "config error: experiment.nu: good-set exponent nu must lie in (1, p)\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("alpha, message", [("nan", "alpha must be positive"),
                                                 ("inf", "alpha must be finite")])
@@ -451,7 +481,7 @@ class TestCliCommands:
         p_flag = ["--p", "3"] if command == "simulate" else []
         args = build_parser().parse_args([command, "--dt", "0.005", "--horizon", "3.5",
                                           "--seed", "9", *p_flag, "--out", "x.csv"])
-        cfg = _with_overrides(load_config(None), args)
+        cfg = load_config(None, vars(args))
         assert (cfg.dt, cfg.horizon, cfg.seed) == (0.005, 3.5, 9)
         assert (cfg.experiment.dt, cfg.experiment.horizon, cfg.experiment.master_seed) == (
             0.005, 3.5, 9)
