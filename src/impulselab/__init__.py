@@ -24,11 +24,11 @@ from .fpt import (FptParams, derived_tail_constant, fpt_cdf, fpt_density, fpt_la
 from .stochastic import (BatchResult, BrownianRecord, GoodSetRecord, NoiseParams,
                          classify_good_set, good_set_mask, good_set_probability_bound,
                          replica_seed_sequence, simulate_batch)
-from .system import (DeterministicSolution, DriftModel, ImpulseSchedule, ResetModel,
-                     SimulationGrid, SystemSpec, constant_drift, deterministic_trajectory,
-                     impact_count, integrate_deterministic, linear_reset,
-                     saturating_reset, simulation_grid, solution_to_path, table_drift,
-                     table_reset, tanh_drift)
+from .system import (DeterministicSolution, DriftModel, ResetModel, SimulationGrid,
+                     SystemSpec, constant_drift, deterministic_trajectory, impact_count,
+                     integrate_deterministic, linear_reset, saturating_reset,
+                     simulation_grid, solution_to_path, table_drift, table_reset,
+                     tanh_drift)
 from .cli import RunConfig, load_config
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "CadlagPath", "ComplexityGuardError", "ConfigError", "DataError",
     "DeterministicSolution", "DomainError", "DriftModel", "EpsilonRow",
     "ExperimentConfig", "ExperimentReport", "FptParams",
-    "GoodSetRecord", "HorizonError", "ImpulseLabError", "ImpulseSchedule",
+    "GoodSetRecord", "HorizonError", "ImpulseLabError",
     "InvalidDistortionError", "InvalidInputError", "NoiseParams", "ParameterError",
     "RateFit", "ResetModel", "ResolutionError", "RunConfig", "RunawayError",
     "Segment", "ShapeError", "SimulationGrid", "SystemSpec", "TimeDistortion",

@@ -35,11 +35,10 @@ from .errors import ConfigError, ImpulseLabError, ParameterError
 from .experiments import ExperimentConfig, ExperimentReport, clt_experiment, lln_experiment
 from .fluctuation import fluctuation_path
 from .fpt import FptParams, fpt_cdf, fpt_density
-from .stochastic import (BrownianRecord, NoiseParams, _check_stochastic_dt,
-                         default_impulse_cap, replica_seed_sequence, simulate_batch)
-from .system import (ImpulseSchedule, SystemSpec, constant_drift, deterministic_trajectory,
-                     integrate_deterministic, linear_reset, saturating_reset,
-                     simulation_grid, table_drift, table_reset, tanh_drift)
+from .stochastic import NoiseParams, simulate_batch
+from .system import (SystemSpec, constant_drift, deterministic_trajectory,
+                     integrate_deterministic, linear_reset, saturating_reset, table_drift,
+                     table_reset, tanh_drift)
 
 _DEFAULTS = {
     ("model", "drift.kind"): "constant",
@@ -229,10 +228,9 @@ def _report_summary(report: ExperimentReport) -> dict:
     return summary
 
 
-def _write_schedule_csv(schedule: ImpulseSchedule, destination) -> None:
+def _write_impulses_csv(times, pre, post, destination) -> None:
     body = [[str(k + 1), format_float(t), format_float(a), format_float(b)]
-            for k, (t, a, b) in enumerate(zip(schedule.times, schedule.pre_values,
-                                              schedule.post_values))]
+            for k, (t, a, b) in enumerate(zip(times, pre, post))]
     with open_dest(destination) as fh:
         write_csv_rows(fh, ["k", "tau_k", "pre_value", "post_value"], body)
 
@@ -245,8 +243,7 @@ def _write_json(payload: dict, destination) -> None:
 
 def _cmd_trajectory(args) -> int:
     cfg = load_config(args.config, vars(args))
-    path, _ = deterministic_trajectory(cfg.system, cfg.horizon, cfg.dt)
-    write_path_csv(path, args.out)
+    write_path_csv(deterministic_trajectory(cfg.system, cfg.horizon, cfg.dt), args.out)
     return 0
 
 
@@ -259,20 +256,19 @@ def _cmd_simulate(args) -> int:
     batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, cfg.seed, 1)
     write_path_csv(batch.path(0), args.out)
     if args.out != "-":
-        _write_schedule_csv(batch.schedule(0), _sidecar(args.out, ".impulses.csv"))
+        c = int(batch.counts[0])
+        _write_impulses_csv(batch.tau[0, :c], batch.pre[0, :c], batch.post[0, :c],
+                            _sidecar(args.out, ".impulses.csv"))
     return 0
 
 
 def _cmd_fluctuation(args) -> int:
     cfg = load_config(args.config, vars(args))
-    alpha = cfg.system.alpha
-    _check_stochastic_dt(alpha, cfg.dt)
-    grid = simulation_grid(alpha, cfg.horizon, cfg.dt)
-    det = integrate_deterministic(cfg.system, grid)
-    # Replica 0's record: the increments that drive simulate --seed.
-    record = BrownianRecord.generate(grid, replica_seed_sequence(cfg.seed, 0),
-                                     default_impulse_cap(alpha, cfg.horizon))
-    write_path_csv(fluctuation_path(cfg.system, det, record), args.out)
+    # Replica 0 of simulate --seed, for the increments that drive it.
+    batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, cfg.seed, 1,
+                           store_increments=True)
+    det = integrate_deterministic(cfg.system, batch.grid)
+    write_path_csv(fluctuation_path(cfg.system, det, batch.w_increments[:, 0]), args.out)
     return 0
 
 

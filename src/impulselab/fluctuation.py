@@ -17,7 +17,6 @@ import numpy as np
 
 from .cadlag import CadlagPath, assemble_from_grid
 from .errors import AlignmentError, ParameterError
-from .stochastic import BrownianRecord
 from .system import DeterministicSolution, SystemSpec, solution_to_path
 
 
@@ -60,16 +59,14 @@ def fluctuation_trace(spec: SystemSpec, det: DeterministicSolution,
 
 
 def fluctuation_path(spec: SystemSpec, det: DeterministicSolution,
-                     record: BrownianRecord) -> CadlagPath:
-    """R1 driven by `record` on the deterministic grid, as a scalar path.
+                     w_increments: np.ndarray) -> CadlagPath:
+    """R1 driven by one (n_steps,) column of raw increments, as a scalar path.
 
     Its jumps sit exactly at the deterministic impulse times, never at the
     noisy ones.
     """
     grid = det.grid
-    if not np.array_equal(record.times, grid.times):
-        raise AlignmentError("Brownian record grid does not match the deterministic grid")
-    values, pre, post = fluctuation_trace(spec, det, record.w_increments)
+    values, pre, post = fluctuation_trace(spec, det, w_increments)
     return assemble_from_grid(grid.horizon, grid.times, values[:, None],
                               grid.impulse_times(), pre[:, None], post[:, None])
 

@@ -19,6 +19,7 @@ loop starts, and each step adds the drift part to the row already there.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .cadlag import CadlagPath, assemble_from_grid
 from .errors import ParameterError, ResolutionError, RunawayError
 from .fpt import FptParams, fpt_tail_bound
-from .system import ImpulseSchedule, SimulationGrid, SystemSpec, simulation_grid
+from .system import SimulationGrid, SystemSpec, simulation_grid
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,24 @@ class NoiseParams:
         return self.sigma * self.epsilon ** self.p
 
 
+def _count(value, field: str) -> int:
+    """`value` as a nonnegative int; numpy integers pass, floats do not."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ParameterError(f"{field} must be a nonnegative integer, got {value!r}", field=field)
+    return count
+
+
 def replica_seed_sequence(master_seed: int, replica_index: int) -> np.random.SeedSequence:
-    """Stream for one replica; distinct replicas get independent streams."""
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(replica_index),))
+    """Stream for one replica; distinct replicas get independent streams.
+
+    This is the seed convention: every draw of the package starts here.
+    """
+    return np.random.SeedSequence(entropy=_count(master_seed, "master_seed"),
+                                  spawn_key=(_count(replica_index, "replica_index"),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +84,10 @@ class BrownianRecord:
     `w_increments[j]` and `b_increments[j]` have variance equal to the j-th
     step length. The unit-normal aux draws supply the fresh partial-step
     increments consumed after each impulse.
+
+    The package draws through :func:`simulate_batch`. This class stays only
+    because the benchmark's tracer wraps `generate` and tests use it as an
+    independent draw; the ROADMAP item that mends the tracer deletes it.
     """
 
     times: np.ndarray
@@ -99,10 +119,6 @@ def _draw_normals(seed_seq: np.random.SeedSequence, w: np.ndarray, b: np.ndarray
 
 
 _NOISE_BLOCK = 32  # replicas drawn into one reused (2, block, n_steps) buffer
-
-
-def default_impulse_cap(alpha: float, horizon: float) -> int:
-    return 10 * int(math.ceil(horizon / alpha))
 
 
 def _advance_batch(spec: SystemSpec, eps: np.ndarray, eps_ang: np.ndarray,
@@ -208,12 +224,6 @@ class BatchResult:
     def impulse_times(self, i: int) -> np.ndarray:
         return self.tau[i, : self.counts[i]]
 
-    def schedule(self, i: int) -> ImpulseSchedule:
-        c = int(self.counts[i])
-        return ImpulseSchedule(times=self.tau[i, :c].copy(),
-                               pre_values=self.pre[i, :c].copy(),
-                               post_values=self.post[i, :c].copy())
-
     def path(self, i: int) -> CadlagPath:
         c = int(self.counts[i])
         values = np.stack([self.r_values[:, i], self.theta_values[:, i]], axis=1)
@@ -221,11 +231,6 @@ class BatchResult:
         post_states = np.stack([self.post[i, :c], np.zeros(c)], axis=1)
         return assemble_from_grid(self.grid.horizon, self.grid.times, values,
                                   self.tau[i, :c], pre_states, post_states)
-
-
-def _check_stochastic_dt(alpha: float, dt: float) -> None:
-    if dt > alpha / 200.0:
-        raise ResolutionError("stochastic step size must not exceed alpha/200")
 
 
 def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float, dt: float,
@@ -239,16 +244,19 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     level e, and the stored radial increments are (n_steps, n_replicas).
     Results are a pure function of (spec, level, horizon, dt, master_seed,
     replica index); chunk boundaries and the other levels do not affect them.
+    `n_max` caps a replica's impulses; by default it is ten times the
+    noiseless count.
     """
     levels = (noise,) if isinstance(noise, NoiseParams) else tuple(noise)
     if not levels:
         raise ParameterError("need at least one noise level")
     if n_replicas < 1:
         raise ParameterError("need at least one replica")
-    _check_stochastic_dt(spec.alpha, dt)
+    if dt > spec.alpha / 200.0:
+        raise ResolutionError("stochastic step size must not exceed alpha/200")
     grid = simulation_grid(spec.alpha, horizon, dt)
     if n_max is None:
-        n_max = default_impulse_cap(spec.alpha, horizon)
+        n_max = 10 * int(math.ceil(horizon / spec.alpha))
     n, m = grid.steps.shape[0], n_replicas
     eps = np.array([lv.epsilon for lv in levels])
     eps_ang = np.array([lv.angular_scale for lv in levels])
@@ -283,10 +291,10 @@ class GoodSetRecord:
     deviations: np.ndarray
 
 
-def classify_good_set(schedule: ImpulseSchedule, alpha: float, n_expected: int,
+def classify_good_set(times: np.ndarray, alpha: float, n_expected: int,
                       delta: float) -> GoodSetRecord:
-    """Good means exactly n_expected impulses, each within delta of k*alpha."""
-    times = schedule.times
+    """Good means exactly n_expected impulse `times`, each within delta of k*alpha."""
+    times = np.asarray(times, dtype=float)
     is_good = bool(good_set_mask(times[None, :], np.array([times.shape[0]]), alpha,
                                  n_expected, delta)[0])
     upto = min(times.shape[0], n_expected)

@@ -221,29 +221,6 @@ class SystemSpec:
 
 
 @dataclass(frozen=True)
-class ImpulseSchedule:
-    """Impulse times with radial left limits and post-reset values."""
-
-    times: np.ndarray
-    pre_values: np.ndarray
-    post_values: np.ndarray
-
-    def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        pre = np.atleast_1d(np.asarray(self.pre_values, dtype=float))
-        post = np.atleast_1d(np.asarray(self.post_values, dtype=float))
-        if not (t.shape == pre.shape == post.shape):
-            raise ParameterError("schedule arrays must have matching shapes")
-        if t.shape[0] >= 2 and np.any(np.diff(t) <= 0):
-            raise ParameterError("impulse times must strictly increase")
-        for name, arr in (("times", t), ("pre_values", pre), ("post_values", post)):
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-
-@dataclass(frozen=True)
 class SimulationGrid:
     """Time grid on [0, T] whose points include every impulse time k*alpha."""
 
@@ -343,8 +320,8 @@ def solution_to_path(sol: DeterministicSolution) -> CadlagPath:
                               grid.impulse_times(), pre_states, post_states)
 
 
-def deterministic_trajectory(spec: SystemSpec, horizon: float, dt: float):
-    """Noiseless trajectory as a (path, impulse schedule) pair.
+def deterministic_trajectory(spec: SystemSpec, horizon: float, dt: float) -> CadlagPath:
+    """Noiseless trajectory as a path; its jumps are the impulses.
 
     Requires dt <= alpha/100 and a horizon strictly inside an inter-impulse
     interval with at least one impulse before it.
@@ -352,11 +329,7 @@ def deterministic_trajectory(spec: SystemSpec, horizon: float, dt: float):
     if dt > spec.alpha / 100.0:
         raise ResolutionError("step size must not exceed alpha/100")
     grid = simulation_grid(spec.alpha, horizon, dt)
-    sol = integrate_deterministic(spec, grid)
-    path = solution_to_path(sol)
-    schedule = ImpulseSchedule(times=grid.impulse_times(),
-                               pre_values=sol.pre_radii, post_values=sol.post_radii)
-    return path, schedule
+    return solution_to_path(integrate_deterministic(spec, grid))
 
 
 def impact_count(t: float, alpha: float) -> int:

@@ -228,11 +228,10 @@ def test_criterion_08_zero_noise_degeneracy(acceptance_spec):
     noise = NoiseParams(epsilon=1e-8, p=2.0)
     batch = simulate_batch(acceptance_spec, noise, horizon=4.0, dt=1e-4,
                            master_seed=0, n_replicas=1)
-    path, schedule = batch.path(0), batch.schedule(0)
-    det_path, det_schedule = deterministic_trajectory(acceptance_spec,
-                                                      horizon=4.0, dt=1e-4)
+    path = batch.path(0)
+    det_path = deterministic_trajectory(acceptance_spec, horizon=4.0, dt=1e-4)
     sup = uniform_distance(path, det_path)
-    tau_dev = float(np.max(np.abs(schedule.times - det_schedule.times)))
+    tau_dev = float(np.max(np.abs(path.jump_times - det_path.jump_times)))
     passed = sup <= 1e-6 and tau_dev <= 1e-4
     record_criterion(8, passed, f"sup distance {sup:.2e} <= 1e-6, "
                                 f"max impulse-time deviation {tau_dev:.2e} <= dt")

@@ -31,7 +31,6 @@ from impulselab import (
 from impulselab.cadlag import batch_skorohod_upper
 from impulselab.fluctuation import first_order_on_grid, fluctuation_trace
 from impulselab.stochastic import good_set_mask
-from impulselab.system import ImpulseSchedule
 
 ALPHA = float(np.pi / 2)
 
@@ -201,9 +200,7 @@ def test_good_set_mask_matches_classify(seed, n_expected, delta):
         # within delta of k*alpha (alpha = 1).
         want = c == n_expected and all(abs(tau[i, k] - (k + 1)) <= delta for k in range(c))
         assert mask[i] == want
-        schedule = ImpulseSchedule(times=tau[i, :c], pre_values=np.zeros(c),
-                                   post_values=np.zeros(c))
-        assert classify_good_set(schedule, 1.0, n_expected, delta).is_good == want
+        assert classify_good_set(tau[i, :c], 1.0, n_expected, delta).is_good == want
 
 
 def test_driver_builds_no_per_replica_paths(monkeypatch):

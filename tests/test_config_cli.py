@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 
 from impulselab import (
+    BrownianRecord,
     ConfigError,
-    ImpulseSchedule,
     integrate_deterministic,
     load_config,
     read_path_csv,
+    replica_seed_sequence,
     simulate_batch,
+    simulation_grid,
     uniform_distance,
     write_path_csv,
 )
-from impulselab.fluctuation import fluctuation_trace
-from impulselab.cli import _write_schedule_csv, build_parser, main
+from impulselab.fluctuation import fluctuation_path, fluctuation_trace
+from impulselab.cli import _write_impulses_csv, build_parser, main
 
 
 class TestLoadConfig:
@@ -165,10 +167,8 @@ def test_readme_commands_run(tmp_path, monkeypatch):
 
 class TestEmit:
     def test_empty_schedule_is_header_only(self, tmp_path):
-        schedule = ImpulseSchedule(times=np.empty(0), pre_values=np.empty(0),
-                                   post_values=np.empty(0))
         out = tmp_path / "empty.csv"
-        _write_schedule_csv(schedule, str(out))
+        _write_impulses_csv(np.empty(0), np.empty(0), np.empty(0), str(out))
         assert out.read_text() == "k,tau_k,pre_value,post_value\n"
 
 
@@ -425,15 +425,17 @@ class TestCliCommands:
                                n_replicas=3)
         want_path, want_schedule = io.StringIO(), io.StringIO()
         write_path_csv(batch.path(0), want_path)
-        _write_schedule_csv(batch.schedule(0), want_schedule)
+        c = int(batch.counts[0])
+        _write_impulses_csv(batch.tau[0, :c], batch.pre[0, :c], batch.post[0, :c], want_schedule)
         assert out.read_text() == want_path.getvalue()
         assert (tmp_path / "run.impulses.csv").read_text() == want_schedule.getvalue()
 
-    def test_fluctuation_seed_uses_replica_zero_increments(self, tmp_path):
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_fluctuation_seed_uses_replica_zero_increments(self, tmp_path, seed):
         out = tmp_path / "z.csv"
-        assert main(["fluctuation", "--seed", "5", "--out", str(out)]) == 0
+        assert main(["fluctuation", "--seed", str(seed), "--out", str(out)]) == 0
         cfg = load_config(None)
-        batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, master_seed=5,
+        batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, master_seed=seed,
                                n_replicas=3, store_increments=True)
         grid = batch.grid
         det = integrate_deterministic(cfg.system, grid)
@@ -441,6 +443,15 @@ class TestCliCommands:
         z = read_path_csv(str(out))
         np.testing.assert_array_equal(z.values_at(grid.times)[:, 0], values)
         np.testing.assert_array_equal(z.values_at(grid.impulse_times(), "left")[:, 0], pre)
+        # The same bytes as a correction driven by replica 0's record drawn on
+        # its own, outside the simulation.
+        own_grid = simulation_grid(cfg.system.alpha, cfg.horizon, cfg.dt)
+        record = BrownianRecord.generate(own_grid, replica_seed_sequence(seed, 0),
+                                         batch.tau.shape[1])
+        want = io.StringIO()
+        write_path_csv(fluctuation_path(cfg.system, integrate_deterministic(cfg.system, own_grid),
+                                        record.w_increments), want)
+        assert out.read_text() == want.getvalue()
 
     def test_fluctuation_applies_the_stochastic_step_guard(self, tmp_path):
         # dt = 0.01 exceeds alpha/200 on the default quarter-turn wedge

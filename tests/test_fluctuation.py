@@ -116,7 +116,7 @@ class TestFluctuationTrace:
 class TestFluctuationPath:
     def test_structure(self, unit_setup):
         spec, grid, det, record = unit_setup
-        z = fluctuation_path(spec, det, record)
+        z = fluctuation_path(spec, det, record.w_increments)
         assert z.dim == 1
         np.testing.assert_array_equal(z.jump_times, [1.0, 2.0])
         assert z.value_at(0.0)[0] == 0.0
@@ -125,8 +125,8 @@ class TestFluctuationPath:
         spec, _, det, _ = unit_setup
         coarse = simulation_grid(1.0, 2.5, 2e-3)
         with pytest.raises(AlignmentError):
-            fluctuation_path(spec, det,
-                             BrownianRecord.generate(coarse, replica_seed_sequence(1, 0), 8))
+            fluctuation_path(spec, det, BrownianRecord.generate(
+                coarse, replica_seed_sequence(1, 0), 8).w_increments)
 
 
 def first_order(spec, det, record, epsilon):

@@ -1,4 +1,5 @@
-"""Every name the package and its tests import is read somewhere."""
+"""Every name the package and its tests import is read somewhere, and no
+package module reaches into another's private names."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,45 @@ def test_no_unused_imports_in_src_or_tests():
     found = {}
     for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]):
         names = unused_imports(path.read_text(encoding="utf-8"))
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {}
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore-prefixed names a package module imports from a sibling.
+
+    Covers relative imports and imports from `impulselab`, at any depth of the
+    tree. Dunder names are not private; a private module such as `_text` may
+    be imported from, as long as the names taken are public.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "impulselab":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.endswith("__"):
+                found.append(alias.name)
+    return found
+
+
+def test_private_sibling_imports_finds_private_names():
+    source = ("from ._text import format_float\n"
+              "from .stochastic import NoiseParams, _check_dt\n"
+              "from impulselab.cadlag import _Grid\n"
+              "from os.path import _joinrealpath\n"
+              "from . import __version__\n"
+              "def f():\n"
+              "    from ..system import _rk4_step\n")
+    assert private_sibling_imports(source) == ["_check_dt", "_Grid", "_rk4_step"]
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    found = {}
+    for path in sorted(ROOT.glob("src/impulselab/**/*.py")):
+        names = private_sibling_imports(path.read_text(encoding="utf-8"))
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import impulselab.stochastic as stochastic
 from impulselab import (
     BrownianRecord,
-    ImpulseSchedule,
     NoiseParams,
     ParameterError,
     ResolutionError,
@@ -45,9 +44,10 @@ def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def one_replica(spec, noise, horizon, dt, seed):
-    """Replica 0 of master seed `seed`, as `impulselab simulate --seed` writes it."""
+    """Replica 0 of master seed `seed`, as `impulselab simulate --seed` writes it,
+    and its impulse times."""
     batch = simulate_batch(spec, noise, horizon=horizon, dt=dt, master_seed=seed, n_replicas=1)
-    return batch.path(0), batch.schedule(0)
+    return batch.path(0), batch.impulse_times(0)
 
 
 def collect_tau(spec, noise, horizon, dt, seed, n_replicas, column=0, chunk=2500):
@@ -85,18 +85,17 @@ class TestZeroNoiseDegeneracy:
         spec = SystemSpec.from_models(constant_drift(0.2), linear_reset(0.5),
                                       alpha=1.0, r0=1.0)
         zero = NoiseParams(epsilon=0.0, p=2.0)
-        path, schedule = one_replica(spec, zero, horizon=2.5, dt=1e-4, seed=0)
-        det_path, det_schedule = deterministic_trajectory(spec, horizon=2.5, dt=1e-4)
+        path, times = one_replica(spec, zero, horizon=2.5, dt=1e-4, seed=0)
+        det_path = deterministic_trajectory(spec, horizon=2.5, dt=1e-4)
         assert uniform_distance(path, det_path) <= 1e-6
-        assert np.max(np.abs(schedule.times - det_schedule.times)) <= 1e-4
+        assert np.max(np.abs(times - det_path.jump_times)) <= 1e-4
 
     def test_no_angular_noise_gives_sawtooth(self, halving_spec):
         quiet = NoiseParams(epsilon=0.2, p=2.0, sigma=0)
         for seed in (0, 1, 7):
-            _, schedule = one_replica(halving_spec, quiet, horizon=4.0, dt=ALPHA / 400,
-                                      seed=seed)
-            expected = ALPHA * np.arange(1, schedule.times.shape[0] + 1)
-            assert np.max(np.abs(schedule.times - expected)) <= ALPHA / 400
+            _, times = one_replica(halving_spec, quiet, horizon=4.0, dt=ALPHA / 400, seed=seed)
+            expected = ALPHA * np.arange(1, times.shape[0] + 1)
+            assert np.max(np.abs(times - expected)) <= ALPHA / 400
 
 
 _PINNED_BATCH = "0ea1038696ca24c42e3c4582eaaa68baaaa08cf2f789f796f3c34de41a907eec"
@@ -158,6 +157,26 @@ class TestReproducibility:
         b = replica_seed_sequence(0, 1).generate_state(4)
         assert not np.array_equal(a, b)
 
+    def test_numpy_integers_are_seeds(self):
+        a = replica_seed_sequence(np.int64(3), np.uint32(2)).generate_state(4)
+        np.testing.assert_array_equal(a, replica_seed_sequence(3, 2).generate_state(4))
+
+    @pytest.mark.parametrize("seed, index, field", [
+        (-1, 0, "master_seed"), (1.5, 0, "master_seed"), (np.float64(2.0), 0, "master_seed"),
+        (0, -1, "replica_index"), (0, 0.5, "replica_index"),
+    ])
+    def test_seed_and_index_are_nonnegative_integers(self, seed, index, field):
+        with pytest.raises(ParameterError) as info:
+            replica_seed_sequence(seed, index)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_batch_refuses_a_seed_that_is_not_a_count(self, halving_spec, noise, seed):
+        with pytest.raises(ParameterError) as info:
+            simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
+                           master_seed=seed, n_replicas=1)
+        assert info.value.field == "master_seed"
+
     def test_record_needs_a_seed_sequence(self):
         grid = simulation_grid(ALPHA, 4.0, ALPHA / 400)
         with pytest.raises(ParameterError):
@@ -168,7 +187,7 @@ class TestReproducibility:
                                 master_seed=5, n_replicas=1, replica_offset=2)
         batch = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
                                master_seed=5, n_replicas=4)
-        np.testing.assert_array_equal(single.schedule(0).times, batch.schedule(2).times)
+        np.testing.assert_array_equal(single.impulse_times(0), batch.impulse_times(2))
         assert uniform_distance(single.path(0), batch.path(2)) == 0.0
 
 
@@ -282,13 +301,18 @@ class TestNoiseLevels:
 
 class TestPathStructure:
     def test_radius_resets_only_at_impulses(self, halving_spec, noise):
-        path, schedule = one_replica(halving_spec, noise, horizon=4.0, dt=ALPHA / 400, seed=12)
-        np.testing.assert_array_equal(path.jump_times, schedule.times)
-        for tau, pre, post in zip(schedule.times, schedule.pre_values, schedule.post_values):
+        batch = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
+                               master_seed=12, n_replicas=1)
+        path, c = batch.path(0), int(batch.counts[0])
+        times, pres, posts = batch.tau[0, :c], batch.pre[0, :c], batch.post[0, :c]
+        np.testing.assert_array_equal(path.jump_times, times)
+        for tau, pre, post in zip(times, pres, posts):
             assert path.value_at(tau, side="left")[0] == pytest.approx(pre, abs=1e-12)
             assert path.value_at(tau, side="right")[0] == pytest.approx(post, abs=1e-12)
-        np.testing.assert_allclose(schedule.post_values,
-                                   halving_spec.reset(schedule.pre_values), atol=1e-12)
+        # The path's one-sided limits are the batch rows bit for bit.
+        np.testing.assert_array_equal(path.values_at(times, "left")[:, 0], pres)
+        np.testing.assert_array_equal(path.values_at(times, "right")[:, 0], posts)
+        np.testing.assert_allclose(posts, halving_spec.reset(pres), atol=1e-12)
 
     def test_theta_stays_in_wedge(self, halving_spec, noise):
         batch = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
@@ -329,32 +353,25 @@ class TestStatisticalInvariants:
 
 class TestClassifyGoodSet:
     def test_within_threshold(self):
-        schedule = ImpulseSchedule(times=np.array([1.02, 2.03]),
-                                   pre_values=np.zeros(2), post_values=np.zeros(2))
-        record = classify_good_set(schedule, alpha=1.0, n_expected=2, delta=0.05)
+        record = classify_good_set(np.array([1.02, 2.03]), alpha=1.0, n_expected=2, delta=0.05)
         assert record.is_good
         np.testing.assert_allclose(record.deviations, [0.02, 0.03], atol=1e-12)
 
     def test_one_deviation_too_large(self):
-        schedule = ImpulseSchedule(times=np.array([1.02, 2.06]),
-                                   pre_values=np.zeros(2), post_values=np.zeros(2))
-        assert not classify_good_set(schedule, alpha=1.0, n_expected=2, delta=0.05).is_good
+        times = np.array([1.02, 2.06])
+        assert not classify_good_set(times, alpha=1.0, n_expected=2, delta=0.05).is_good
 
     def test_missing_impulse_is_bad(self):
-        schedule = ImpulseSchedule(times=np.array([1.0]),
-                                   pre_values=np.zeros(1), post_values=np.zeros(1))
-        assert not classify_good_set(schedule, alpha=1.0, n_expected=2, delta=0.05).is_good
+        times = np.array([1.0])
+        assert not classify_good_set(times, alpha=1.0, n_expected=2, delta=0.05).is_good
 
     def test_extra_impulse_is_bad(self):
-        schedule = ImpulseSchedule(times=np.array([1.0, 2.0, 2.2]),
-                                   pre_values=np.zeros(3), post_values=np.zeros(3))
-        assert not classify_good_set(schedule, alpha=1.0, n_expected=2, delta=0.05).is_good
+        times = np.array([1.0, 2.0, 2.2])
+        assert not classify_good_set(times, alpha=1.0, n_expected=2, delta=0.05).is_good
 
     def test_delta_must_stay_below_quarter_wedge(self):
-        schedule = ImpulseSchedule(times=np.array([1.0]),
-                                   pre_values=np.zeros(1), post_values=np.zeros(1))
         with pytest.raises(ParameterError):
-            classify_good_set(schedule, alpha=1.0, n_expected=1, delta=0.25)
+            classify_good_set(np.array([1.0]), alpha=1.0, n_expected=1, delta=0.25)
 
 
 class TestGoodSetBound:
@@ -385,7 +402,7 @@ class TestGoodSetBound:
             batch = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
                                    master_seed=7, n_replicas=2500, replica_offset=offset)
             for i in range(2500):
-                record = classify_good_set(batch.schedule(i), ALPHA, 2, 0.25)
+                record = classify_good_set(batch.impulse_times(i), ALPHA, 2, 0.25)
                 bad += not record.is_good
         bound = good_set_probability_bound(4, ALPHA, 0.2, 2.0, 0.25)
         freq = bad / total

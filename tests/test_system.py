@@ -88,46 +88,49 @@ class TestDeterministicTrajectory:
     def test_zero_drift_identity_reset(self):
         spec = SystemSpec.from_models(constant_drift(0.0), linear_reset(1.0),
                                       alpha=1.0, r0=1.0)
-        path, schedule = deterministic_trajectory(spec, horizon=2.5, dt=1e-3)
+        path = deterministic_trajectory(spec, horizon=2.5, dt=1e-3)
         for t in (0.3, 0.999, 1.0, 1.7, 2.499):
             assert path.value_at(t)[0] == pytest.approx(1.0, abs=1e-12)
         # angular sawtooth: theta(t) = t - floor(t)
         assert path.value_at(1.5)[1] == pytest.approx(0.5, abs=1e-12)
         assert path.value_at(1.0, side="left")[1] == pytest.approx(1.0, abs=1e-12)
         assert path.value_at(1.0, side="right")[1] == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_array_equal(schedule.times, [1.0, 2.0])
+        np.testing.assert_array_equal(path.jump_times, [1.0, 2.0])
 
     def test_hand_integrated_exemplar(self, halving_unit_spec):
-        path, schedule = deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=1e-3)
-        np.testing.assert_allclose(schedule.pre_values, [1.2, 0.8], atol=1e-10)
-        np.testing.assert_allclose(schedule.post_values, [0.6, 0.4], atol=1e-10)
+        path = deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=1e-3)
+        np.testing.assert_allclose(path.values_at(path.jump_times, "left")[:, 0], [1.2, 0.8],
+                                   atol=1e-10)
+        np.testing.assert_allclose(path.values_at(path.jump_times, "right")[:, 0], [0.6, 0.4],
+                                   atol=1e-10)
         assert path.value_at(2.5)[0] == pytest.approx(0.5, abs=1e-10)
         assert path.value_at(1.0, side="left")[0] == pytest.approx(1.2, abs=1e-10)
         assert path.value_at(1.0, side="right")[0] == pytest.approx(0.6, abs=1e-10)
 
     def test_two_impulses_recorded(self, halving_unit_spec):
-        _, schedule = deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=1e-3)
-        assert schedule.times.shape[0] == impact_count(2.5, 1.0) == 2
+        path = deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=1e-3)
+        assert path.jump_times.shape[0] == impact_count(2.5, 1.0) == 2
 
     def test_impulse_times_exact(self):
         spec = SystemSpec.from_models(tanh_drift(0.5), linear_reset(0.7),
                                       alpha=np.pi / 2, r0=1.0)
-        _, schedule = deterministic_trajectory(spec, horizon=4.0, dt=1e-3)
-        np.testing.assert_array_equal(schedule.times, np.pi / 2 * np.arange(1, 3))
+        path = deterministic_trajectory(spec, horizon=4.0, dt=1e-3)
+        np.testing.assert_array_equal(path.jump_times, np.pi / 2 * np.arange(1, 3))
 
     def test_post_equals_reset_of_pre(self):
         spec = SystemSpec.from_models(tanh_drift(0.5), saturating_reset(2.0),
                                       alpha=1.0, r0=1.0)
-        _, schedule = deterministic_trajectory(spec, horizon=3.5, dt=1e-3)
-        expected = spec.reset(schedule.pre_values)
-        np.testing.assert_allclose(schedule.post_values, expected, atol=1e-12)
+        path = deterministic_trajectory(spec, horizon=3.5, dt=1e-3)
+        pre = path.values_at(path.jump_times, "left")[:, 0]
+        post = path.values_at(path.jump_times, "right")[:, 0]
+        np.testing.assert_allclose(post, spec.reset(pre), atol=1e-12)
 
     def test_richardson_fourth_order(self):
         spec = SystemSpec.from_models(tanh_drift(0.5), linear_reset(0.7),
                                       alpha=1.0, r0=1.0)
         vals = []
         for dt in (4e-3, 2e-3, 1e-3):
-            path, _ = deterministic_trajectory(spec, horizon=2.5, dt=dt)
+            path = deterministic_trajectory(spec, horizon=2.5, dt=dt)
             vals.append(path.value_at(2.5)[0])
         ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
         assert 16.0 * 0.7 <= abs(ratio) <= 16.0 * 1.3
@@ -135,7 +138,7 @@ class TestDeterministicTrajectory:
     def test_contraction_of_resets(self):
         spec = SystemSpec.from_models(constant_drift(0.0), linear_reset(0.5),
                                       alpha=1.0, r0=2.0)
-        path, _ = deterministic_trajectory(spec, horizon=6.3, dt=1e-3)
+        path = deterministic_trajectory(spec, horizon=6.3, dt=1e-3)
         sup = max(float(np.max(np.abs(seg.values[:, 0]))) for seg in path.segments)
         assert sup <= 2.0 + 1e-12
 
@@ -159,8 +162,16 @@ class TestDeterministicTrajectory:
             deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=0.02)
 
     def test_path_jump_times_match_schedule(self, halving_unit_spec):
-        path, schedule = deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=1e-3)
-        np.testing.assert_array_equal(path.jump_times, schedule.times)
+        # The jumps are the grid's impulse times, and their one-sided limits
+        # the integrator's pre/post radii, bit for bit.
+        path = deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=1e-3)
+        grid = simulation_grid(1.0, 2.5, 1e-3)
+        sol = integrate_deterministic(halving_unit_spec, grid)
+        np.testing.assert_array_equal(path.jump_times, grid.impulse_times())
+        np.testing.assert_array_equal(path.values_at(path.jump_times, "left")[:, 0],
+                                      sol.pre_radii)
+        np.testing.assert_array_equal(path.values_at(path.jump_times, "right")[:, 0],
+                                      sol.post_radii)
 
 
 # sha256 of `integrate_deterministic(...).r_values.tobytes()` at alpha = pi/2,
@@ -196,8 +207,8 @@ class TestTableModels:
         drift = table_drift([(-2.0, -0.3), (0.0, 0.0), (1.0, 0.15), (2.0, 0.25), (3.0, 0.3)])
         reset = table_reset([(0.0, 0.0), (0.5, 0.2), (1.0, 0.45), (2.0, 0.8), (3.0, 1.1)])
         spec = SystemSpec.from_models(drift, reset, alpha=1.0, r0=1.0)
-        path, schedule = deterministic_trajectory(spec, horizon=2.5, dt=1e-3)
-        assert schedule.times.shape[0] == 2
+        path = deterministic_trajectory(spec, horizon=2.5, dt=1e-3)
+        assert path.jump_times.shape[0] == 2
         assert np.isfinite(path.value_at(2.5)[0])
 
     def test_table_values_reproduced(self):
