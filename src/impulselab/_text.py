@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import sys
 from contextlib import contextmanager
 
@@ -17,7 +16,7 @@ def open_dest(destination):
     """Yield a text handle for a path, '-' (stdout), or an existing handle."""
     if destination == "-":
         yield sys.stdout
-    elif isinstance(destination, io.IOBase) or hasattr(destination, "write"):
+    elif hasattr(destination, "write"):
         yield destination
     else:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
@@ -25,9 +24,7 @@ def open_dest(destination):
 
 
 def write_csv_rows(handle, header, rows) -> None:
-    """Write a header plus iterable of pre-formatted rows, newline-terminated."""
-    if not isinstance(header, str):
-        header = ",".join(header)
-    handle.write(header + "\n")
+    """Write a header list plus iterable of pre-formatted rows, newline-terminated."""
+    handle.write(",".join(header) + "\n")
     for row in rows:
         handle.write(",".join(row) + "\n")

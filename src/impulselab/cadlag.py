@@ -134,15 +134,13 @@ class CadlagPath:
 def assemble_from_grid(horizon, times, values, jump_times, pre_states, post_states) -> CadlagPath:
     """Build a path from grid samples plus per-jump left/right states.
 
-    `values[j]` is the state at `times[j]` (already post-reset if a jump lands
-    exactly on a grid time). Jumps strictly inside a step get the interpolated
-    pre state as the closing sample of one segment and the post state opening
-    the next.
+    `values[j]` is the (d,) state at `times[j]` (already post-reset if a jump
+    lands exactly on a grid time). Jumps strictly inside a step get the
+    interpolated pre state as the closing sample of one segment and the post
+    state opening the next.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
     jump_times = np.atleast_1d(np.asarray(jump_times, dtype=float))
     pre_states = np.atleast_2d(np.asarray(pre_states, dtype=float))
     post_states = np.atleast_2d(np.asarray(post_states, dtype=float))
@@ -554,21 +552,20 @@ def _pick(a, flat, width):
     return a[flat % width] if a.ndim == 1 else a.ravel()[flat]
 
 
-def batch_skorohod_upper(det, batch, levels, good, trace=None):
+def batch_skorohod_upper(det, batch, good, trace=None):
     """:func:`skorohod_upper` for every column of a ``BatchResult``.
 
     `det` is the ``DeterministicSolution`` and `batch` the ``BatchResult``
     scored against it; both live on one grid, whose jump indices and wedge
-    angle are read from ``det.grid``. The batch's columns follow
-    ``BatchResult``'s layout over the noise levels `levels`, one entry per
-    level block: with M replicas, column ``e * M + i`` is replica i at level
-    ``levels[e]``. Column c is compared under the aligning distortion through
+    angle are read from ``det.grid``. With M replicas, column ``e * M + i``
+    of the batch is replica i at the noise level ``batch.levels[e]`` it was
+    simulated at. Column c is compared under the aligning distortion through
     the deterministic jump times and ``batch.tau[c]`` when `good[c]`, else
     under the identity.
 
     Returns ``(to_det, to_first_order)``, one entry per column. The second
     compares column ``e * M + i`` with the first-order path
-    ``det + levels[e] * trace[:, i]`` in the radius, where
+    ``det + batch.levels[e].epsilon * trace[:, i]`` in the radius, where
     ``trace = (values, pre, post)`` is the output of ``fluctuation_trace``
     for the M replicas; it is None without a trace. Each entry equals
     ``skorohod_upper`` on the corresponding path objects, because the sup
@@ -579,9 +576,7 @@ def batch_skorohod_upper(det, batch, levels, good, trace=None):
     if not np.array_equal(batch.grid.times, times):
         raise AlignmentError("batch and deterministic path live on different grids")
     tau, counts, m = batch.tau, batch.counts, len(batch)
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or m % levels.shape[0]:
-        raise InvalidInputError("the noisy columns must split evenly over the noise levels")
+    levels = np.array([level.epsilon for level in batch.levels])
     per_level = m // levels.shape[0]
     n_points, n_jumps = times.shape[0], det.grid.n_impulses
     if good.any():
@@ -654,16 +649,13 @@ def skorohod_oracle(x1: CadlagPath, x2: CadlagPath, resolution: int = 16) -> flo
         return best
     targets = x2.jump_times if x2.jump_times.shape[0] else knots
     r_eff = 1 << (int(resolution).bit_length() - 1)
+    # An offset grid that the exact check below would refuse is refused
+    # before it is allocated; so is one whose offsets would collapse after
+    # rounding into fewer candidates.
+    if math.comb(targets.shape[0] * (2 * r_eff + 1), knots.shape[0]) > _ORACLE_BUDGET:
+        raise ComplexityGuardError(f"oracle would try more than {_ORACLE_BUDGET} distortions")
     anchors = np.unique(np.concatenate([[0.0], targets, [horizon]]))
     width = float(np.min(np.diff(anchors))) / 2.0
-    # The interior offsets (|k| < r_eff) of distinct targets fall in disjoint
-    # open intervals inside (0, horizon); while the offset step spans a few
-    # ulps they stay distinct after rounding, so this floor on the candidate
-    # count refuses a large resolution before its candidates are allocated.
-    if width > _REL_TOL and width / r_eff > 4.0 * np.spacing(horizon):
-        at_least = targets.shape[0] * (2 * r_eff - 1)
-        if math.comb(at_least, knots.shape[0]) > _ORACLE_BUDGET:
-            raise ComplexityGuardError(f"oracle would try more than {_ORACLE_BUDGET} distortions")
     offsets = width * np.arange(-r_eff, r_eff + 1) / r_eff
     cands = np.unique(
         np.concatenate([targets[:, None] + offsets[None, :], knots[:, None]], axis=None)

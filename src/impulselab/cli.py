@@ -70,7 +70,8 @@ _MODES = ("lln", "clt")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated bundle of system, noise, numerics, and experiment settings."""
+    """Validated bundle of system, noise, mode and experiment settings; the
+    [numerics] values (dt, horizon, seed) live in `experiment` alone."""
 
     system: SystemSpec
     noise: NoiseParams
@@ -80,20 +81,6 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {', '.join(_MODES)}", field="mode")
-
-    # The [numerics] values live in `experiment` alone; every subcommand reads
-    # them here.
-    @property
-    def dt(self) -> float:
-        return self.experiment.dt
-
-    @property
-    def horizon(self) -> float:
-        return self.experiment.horizon
-
-    @property
-    def seed(self) -> int:
-        return self.experiment.master_seed
 
 
 def _parse_value(section: str, key: str, raw: str, kind):
@@ -211,12 +198,13 @@ def load_config(path: str | None, flags: dict | None = None) -> RunConfig:
 
 
 def _report_summary(report: ExperimentReport) -> dict:
+    config = report.config
     summary = {
         "mode": report.mode,
-        "beta": report.beta,
-        "nu": report.nu,
-        "p": report.p,
-        "seed": report.seed,
+        "beta": config.beta,
+        "nu": config.nu,
+        "p": config.p,
+        "seed": config.master_seed,
         "slope": report.fit.slope if report.fit else None,
         "intercept": report.fit.intercept if report.fit else None,
         "slope_stderr": report.fit.slope_stderr if report.fit else None,
@@ -243,7 +231,8 @@ def _write_json(payload: dict, destination) -> None:
 
 def _cmd_trajectory(args) -> int:
     cfg = load_config(args.config, vars(args))
-    write_path_csv(deterministic_trajectory(cfg.system, cfg.horizon, cfg.dt), args.out)
+    run = cfg.experiment
+    write_path_csv(deterministic_trajectory(cfg.system, run.horizon, run.dt), args.out)
     return 0
 
 
@@ -253,7 +242,8 @@ def _sidecar(out: str, suffix: str) -> str:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, vars(args))
-    batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, cfg.seed, 1)
+    run = cfg.experiment
+    batch = simulate_batch(cfg.system, cfg.noise, run.horizon, run.dt, run.master_seed, 1)
     write_path_csv(batch.path(0), args.out)
     if args.out != "-":
         c = int(batch.counts[0])
@@ -264,8 +254,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fluctuation(args) -> int:
     cfg = load_config(args.config, vars(args))
+    run = cfg.experiment
     # Replica 0 of simulate --seed, for the increments that drive it.
-    batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, cfg.seed, 1,
+    batch = simulate_batch(cfg.system, cfg.noise, run.horizon, run.dt, run.master_seed, 1,
                            store_increments=True)
     det = integrate_deterministic(cfg.system, batch.grid)
     write_path_csv(fluctuation_path(cfg.system, det, batch.w_increments[:, 0]), args.out)

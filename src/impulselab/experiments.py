@@ -97,11 +97,11 @@ class RateFit:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """One run's rows and fit (of the refined distance in clt mode, with the
+    baseline's alongside) and the `config` it ran: its beta, nu, p and seed."""
+
     mode: str
-    beta: int
-    nu: float
-    p: float
-    seed: int
+    config: ExperimentConfig
     rows: tuple
     fit: RateFit | None
     baseline_rows: tuple | None = None
@@ -187,7 +187,7 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool):
             good.append(good_set_mask(batch.tau[cols], batch.counts[cols], spec.alpha,
                                       n_impulses, delta))
             bad[e] += count - int(np.count_nonzero(good[-1]))
-        base, refined = batch_skorohod_upper(det, batch, eps_grid, np.concatenate(good), trace)
+        base, refined = batch_skorohod_upper(det, batch, np.concatenate(good), trace)
         base_d[:, chunk] = base.reshape(-1, count)
         if compute_refined:
             refined_d[:, chunk] = refined.reshape(-1, count)
@@ -202,16 +202,13 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool):
 def lln_experiment(config: ExperimentConfig, spec: SystemSpec) -> ExperimentReport:
     """Distance between the noisy path and the deterministic trajectory."""
     rows, _ = _run(config, spec, compute_refined=False)
-    return ExperimentReport(mode="lln", beta=config.beta, nu=config.nu, p=config.p,
-                            seed=config.master_seed, rows=tuple(rows),
-                            fit=_maybe_fit(rows))
+    return ExperimentReport(mode="lln", config=config, rows=tuple(rows), fit=_maybe_fit(rows))
 
 
 def clt_experiment(config: ExperimentConfig, spec: SystemSpec) -> ExperimentReport:
     """Distance to the first-order refinement, with the baseline alongside."""
     base_rows, refined_rows = _run(config, spec, compute_refined=True)
-    return ExperimentReport(mode="clt", beta=config.beta, nu=config.nu, p=config.p,
-                            seed=config.master_seed, rows=tuple(refined_rows),
+    return ExperimentReport(mode="clt", config=config, rows=tuple(refined_rows),
                             fit=_maybe_fit(refined_rows),
                             baseline_rows=tuple(base_rows),
                             baseline_fit=_maybe_fit(base_rows))

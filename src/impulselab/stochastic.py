@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cadlag import CadlagPath, assemble_from_grid
-from .errors import ParameterError, ResolutionError, RunawayError
+from .errors import InvalidInputError, ParameterError, ResolutionError, RunawayError
 from .fpt import FptParams, fpt_tail_bound
 from .system import SimulationGrid, SystemSpec, simulation_grid
 
@@ -204,9 +204,10 @@ def _advance_batch(spec: SystemSpec, eps: np.ndarray, eps_ang: np.ndarray,
 class BatchResult:
     """Vectorised simulation output with lazy per-column object views.
 
-    A batch of M replicas at E noise levels has E*M columns: column
-    ``e*M + i`` is the batch's i-th replica at level e. The stored radial
-    increments are per replica, shared by all levels.
+    A batch of M replicas at the E noise levels `levels` has E*M columns:
+    column ``e*M + i`` is the batch's i-th replica at ``levels[e]``, and a
+    column count that does not split evenly over the levels is refused. The
+    stored radial increments are per replica, shared by all levels.
     """
 
     grid: SimulationGrid
@@ -216,7 +217,12 @@ class BatchResult:
     pre: np.ndarray
     post: np.ndarray
     counts: np.ndarray         # (E*M,)
+    levels: tuple              # (E,) NoiseParams
     w_increments: np.ndarray | None = None  # (n_steps, M) when stored
+
+    def __post_init__(self):
+        if not self.levels or len(self) % len(self.levels):
+            raise InvalidInputError("the columns must split evenly over the noise levels")
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -238,10 +244,11 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
                    n_max: int | None = None, store_increments: bool = False) -> BatchResult:
     """Simulate replicas `replica_offset .. replica_offset + n_replicas - 1`.
 
-    `noise` is one :class:`NoiseParams` or a tuple of noise levels. Each
-    replica's record is drawn once and drives it at every level, so column
-    ``e*n_replicas + i`` of the result is replica ``replica_offset + i`` at
-    level e, and the stored radial increments are (n_steps, n_replicas).
+    `noise` is one :class:`NoiseParams` or a tuple of noise levels, which
+    the result records as its `levels`. Each replica's record is drawn once
+    and drives it at every level, so column ``e*n_replicas + i`` of the
+    result is replica ``replica_offset + i`` at ``levels[e]``, and the stored
+    radial increments are (n_steps, n_replicas).
     Results are a pure function of (spec, level, horizon, dt, master_seed,
     replica index); chunk boundaries and the other levels do not affect them.
     `n_max` caps a replica's impulses; by default it is ten times the
@@ -280,7 +287,7 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     tau, pre, post, counts = _advance_batch(spec, eps, eps_ang, grid, r_path, th_path,
                                             aux_w, aux_b, n_max)
     return BatchResult(grid=grid, r_values=r_path, theta_values=th_path, tau=tau, pre=pre,
-                       post=post, counts=counts, w_increments=w_stored)
+                       post=post, counts=counts, levels=levels, w_increments=w_stored)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ def oracle(det, batch, good, trace, eps):
 
 
 def assert_matches_oracle(det, batch, good, trace, eps):
-    to_det, to_first = batch_skorohod_upper(det, batch, (eps,), good, trace)
+    to_det, to_first = batch_skorohod_upper(det, batch, good, trace)
     want_det, want_first = oracle(det, batch, good, trace, eps)
     np.testing.assert_allclose(to_det, want_det, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(to_first, want_first, rtol=1e-12, atol=0.0)
@@ -128,7 +128,8 @@ def test_kernel_matches_oracle_on_hand_built_jumps(seed, first, on_grid, inside,
         hit = np.isin(times, r)
         r_values[hit, i] = theta_values[hit, i] = 1e3
     batch = BatchResult(grid=grid, r_values=r_values, theta_values=theta_values,
-                        tau=tau, pre=pre, post=post, counts=counts)
+                        tau=tau, pre=pre, post=post, counts=counts,
+                        levels=(NoiseParams(epsilon=eps, p=2.0),))
     good = np.array([True, False, False, False])
     trace = (rng.normal(size=(n, m)), rng.normal(size=(2, m)), rng.normal(size=(2, m)))
     assert_matches_oracle(det, batch, good, trace, eps)
@@ -148,7 +149,7 @@ def test_kernel_is_bitwise_equal_on_acceptance_grid(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     assert 0 < np.count_nonzero(good) < len(batch)
     trace = fluctuation_trace(spec, det, batch.w_increments)
-    got = batch_skorohod_upper(det, batch, (0.2,), good, trace)
+    got = batch_skorohod_upper(det, batch, good, trace)
     want = oracle(det, batch, good, trace, 0.2)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -157,9 +158,9 @@ def test_zero_fluctuation_refined_equals_baseline_exactly(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     n, m = batch.r_values.shape[0], len(batch)
     zeros = (np.zeros((n, m)), np.zeros((2, m)), np.zeros((2, m)))
-    to_det, to_first = batch_skorohod_upper(det, batch, (0.2,), good, zeros)
+    to_det, to_first = batch_skorohod_upper(det, batch, good, zeros)
     assert np.array_equal(to_first, to_det)
-    alone, none = batch_skorohod_upper(det, batch, (0.2,), good)
+    alone, none = batch_skorohod_upper(det, batch, good)
     assert none is None and np.array_equal(alone, to_det)
 
 
@@ -172,9 +173,9 @@ def test_good_row_needs_n_increasing_impulses(acceptance_batch):
     forced[row] = True
     broken = BatchResult(grid=batch.grid, r_values=batch.r_values,
                          theta_values=batch.theta_values, tau=tau, pre=batch.pre,
-                         post=batch.post, counts=batch.counts)
+                         post=batch.post, counts=batch.counts, levels=batch.levels)
     with pytest.raises(InvalidInputError):
-        batch_skorohod_upper(det, broken, (0.2,), forced)
+        batch_skorohod_upper(det, broken, forced)
 
 
 def test_batch_on_another_grid_is_refused(acceptance_batch):
@@ -183,7 +184,7 @@ def test_batch_on_another_grid_is_refused(acceptance_batch):
     nudged = replace(batch, grid=replace(batch.grid, times=np.nextafter(batch.grid.times, 5.0)))
     for other, mask in ((coarse, np.zeros(3, dtype=bool)), (nudged, good)):
         with pytest.raises(AlignmentError):
-            batch_skorohod_upper(det, other, (0.2,), mask)
+            batch_skorohod_upper(det, other, mask)
 
 
 @settings(max_examples=60, deadline=None)

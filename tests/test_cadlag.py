@@ -252,6 +252,14 @@ class TestSkorohodOracle:
         # The 2**21 + 1 candidate offsets alone would take 16 MB.
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("resolution", [2 ** 50, 2 ** 62], ids=["2^50", "2^62"])
+    def test_huge_resolution_refused(self, resolution):
+        # Offsets this fine collapse after rounding: at 2**50 their grid would
+        # not fit in memory, and at 2**62 np.arange overflows to no offsets.
+        x1, x2 = step_path(0.4, 1.0), step_path(0.5, 1.0)
+        with pytest.raises(ComplexityGuardError, match="more than 10000 distortions"):
+            skorohod_oracle(x1, x2, resolution=resolution)
+
     def test_resolution_floor(self):
         path = step_path(0.4, 1.0)
         with pytest.raises(ParameterError):

@@ -33,7 +33,7 @@ class TestLoadConfig:
         assert cfg.noise.epsilon == 0.1
         assert cfg.noise.p == 2.0
         assert cfg.mode == "lln"
-        assert cfg.dt == 1e-3
+        assert cfg.experiment.dt == 1e-3
         assert cfg.experiment.replicas == 2000
 
     def test_empty_file_means_defaults(self, tmp_path):
@@ -131,9 +131,8 @@ def test_readme_config_schema_loads(tmp_path):
     f = tmp_path / "readme.ini"
     f.write_text(blocks[0])
     cfg, defaults = load_config(str(f)), load_config(None)
-    assert (cfg.noise, cfg.dt, cfg.horizon, cfg.seed, cfg.mode, cfg.experiment) == (
-        defaults.noise, defaults.dt, defaults.horizon, defaults.seed, defaults.mode,
-        defaults.experiment)
+    assert (cfg.noise, cfg.mode, cfg.experiment) == (
+        defaults.noise, defaults.mode, defaults.experiment)
     assert (cfg.system.alpha, cfg.system.r0) == (defaults.system.alpha, defaults.system.r0)
     radii = np.linspace(-2.0, 3.0, 11)
     np.testing.assert_array_equal(cfg.system.drift(radii), defaults.system.drift(radii))
@@ -417,11 +416,24 @@ class TestCliCommands:
                          "--oracle"]) == 3
             assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resolution", [2 ** 50, 2 ** 62], ids=["2^50", "2^62"])
+    def test_oracle_refusing_a_huge_resolution_is_a_guard_error(self, tmp_path, capsys,
+                                                                resolution):
+        run, run2 = tmp_path / "run.csv", tmp_path / "run2.csv"
+        for seed, out in (("11", run), ("12", run2)):
+            assert main(["simulate", "--epsilon", "0.2", "--seed", seed, "--dt", "0.005",
+                         "--out", str(out)]) == 0
+        assert main(["skorohod", "--path1", str(run), "--path2", str(run2), "--oracle",
+                     "--resolution", str(resolution)]) == 3
+        assert capsys.readouterr().err == (
+            "error: oracle would try more than 10000 distortions\n")
+
     def test_simulate_seed_is_experiment_replica_zero(self, tmp_path):
         out = tmp_path / "run.csv"
         assert main(["simulate", "--seed", "5", "--epsilon", "0.1", "--out", str(out)]) == 0
         cfg = load_config(None)
-        batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, master_seed=5,
+        run = cfg.experiment
+        batch = simulate_batch(cfg.system, cfg.noise, run.horizon, run.dt, master_seed=5,
                                n_replicas=3)
         want_path, want_schedule = io.StringIO(), io.StringIO()
         write_path_csv(batch.path(0), want_path)
@@ -435,7 +447,8 @@ class TestCliCommands:
         out = tmp_path / "z.csv"
         assert main(["fluctuation", "--seed", str(seed), "--out", str(out)]) == 0
         cfg = load_config(None)
-        batch = simulate_batch(cfg.system, cfg.noise, cfg.horizon, cfg.dt, master_seed=seed,
+        run = cfg.experiment
+        batch = simulate_batch(cfg.system, cfg.noise, run.horizon, run.dt, master_seed=seed,
                                n_replicas=3, store_increments=True)
         grid = batch.grid
         det = integrate_deterministic(cfg.system, grid)
@@ -445,7 +458,7 @@ class TestCliCommands:
         np.testing.assert_array_equal(z.values_at(grid.impulse_times(), "left")[:, 0], pre)
         # The same bytes as a correction driven by replica 0's record drawn on
         # its own, outside the simulation.
-        own_grid = simulation_grid(cfg.system.alpha, cfg.horizon, cfg.dt)
+        own_grid = simulation_grid(cfg.system.alpha, run.horizon, run.dt)
         record = BrownianRecord.generate(own_grid, replica_seed_sequence(seed, 0),
                                          batch.tau.shape[1])
         want = io.StringIO()
@@ -493,7 +506,7 @@ class TestCliCommands:
         args = build_parser().parse_args([command, "--dt", "0.005", "--horizon", "3.5",
                                           "--seed", "9", *p_flag, "--out", "x.csv"])
         cfg = load_config(None, vars(args))
-        assert (cfg.dt, cfg.horizon, cfg.seed) == (0.005, 3.5, 9)
+        assert not any(hasattr(cfg, name) for name in ("dt", "horizon", "seed"))
         assert (cfg.experiment.dt, cfg.experiment.horizon, cfg.experiment.master_seed) == (
             0.005, 3.5, 9)
         assert cfg.noise.p == cfg.experiment.p == (3.0 if p_flag else 2.0)

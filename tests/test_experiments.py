@@ -196,6 +196,11 @@ class TestCltExperiment:
             allowance = 2.0 * math.hypot(refined.stderr, base.stderr)
             assert refined.mean_distance <= base.mean_distance + allowance
 
+    @pytest.mark.parametrize("driver", [lln_experiment, clt_experiment])
+    def test_report_carries_the_config_it_ran(self, halving_spec, driver):
+        config = small_config(replicas=20)
+        assert driver(config, halving_spec).config is config
+
     def test_report_carries_both_fits(self, halving_spec):
         report = clt_experiment(small_config(replicas=40), halving_spec)
         assert report.mode == "clt"
@@ -215,7 +220,7 @@ def per_epsilon_reference(config, spec):
         good = good_set_mask(batch.tau, batch.counts, spec.alpha, grid.n_impulses,
                              eps ** config.nu)
         trace = fluctuation_trace(spec, det, batch.w_increments)
-        distances = batch_skorohod_upper(det, batch, (eps,), good, trace)
+        distances = batch_skorohod_upper(det, batch, good, trace)
         for rows, d in zip((base_rows, refined_rows), distances):
             powered = d ** config.beta
             rows.append(EpsilonRow(epsilon=eps, mean_distance=float(np.mean(powered)),

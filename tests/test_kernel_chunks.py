@@ -1,5 +1,7 @@
 """The distance kernel's grid lookups and its one-call-per-chunk level layout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,11 +130,11 @@ def test_one_call_over_levels_equals_one_call_per_level(level_batch, with_trace)
     arrays are bitwise the block's."""
     spec, det, batch, good, trace, m = level_batch
     trace = trace if with_trace else None
-    to_det, to_first = batch_skorohod_upper(det, batch, LEVELS, good, trace)
+    to_det, to_first = batch_skorohod_upper(det, batch, good, trace)
     for e, eps in enumerate(LEVELS):
         cols = slice(e * m, (e + 1) * m)
         alone = simulate_levels(spec, (eps,), m)
-        want_det, want_first = batch_skorohod_upper(det, alone, (eps,), good[cols], trace)
+        want_det, want_first = batch_skorohod_upper(det, alone, good[cols], trace)
         assert np.array_equal(to_det[cols], want_det)
         if with_trace:
             assert np.array_equal(to_first[cols], want_first)
@@ -143,7 +145,21 @@ def test_one_call_over_levels_equals_one_call_per_level(level_batch, with_trace)
 def test_columns_must_split_over_the_levels(level_batch):
     spec, det, batch, good, trace, m = level_batch
     with pytest.raises(InvalidInputError):
-        batch_skorohod_upper(det, batch, LEVELS[:3], good, trace)
+        replace(batch, levels=batch.levels[:3])
+
+
+def test_relevelling_a_batch_changes_only_its_refined_distances(level_batch):
+    """The kernel reads each block's epsilon from the batch: the same paths
+    labelled with other levels keep their distances to the deterministic path,
+    and every block's distances to det + epsilon * Z move."""
+    spec, det, batch, good, trace, m = level_batch
+    to_det, to_first = batch_skorohod_upper(det, batch, good, trace)
+    relevelled = replace(batch, levels=batch.levels[::-1])
+    other_det, other_first = batch_skorohod_upper(det, relevelled, good, trace)
+    assert np.array_equal(other_det, to_det)
+    for e in range(len(LEVELS)):
+        cols = slice(e * m, (e + 1) * m)
+        assert not np.array_equal(other_first[cols], to_first[cols])
 
 
 @pytest.mark.parametrize("driver", [lln_experiment, clt_experiment])
@@ -152,7 +168,7 @@ def test_driver_scores_each_chunk_in_one_kernel_call(halving_spec, monkeypatch, 
     kernel = experiments.batch_skorohod_upper
 
     def counting_kernel(*args, **kwargs):
-        columns.append(len(args[3]))
+        columns.append(len(args[2]))
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "batch_skorohod_upper", counting_kernel)
