@@ -505,8 +505,8 @@ class _ReplicaBlock:
         return r1, th1, on_grid[order >= 0], order[order >= 0]
 
     def scan(self, t, firsts, sup2):
-        """Fold sup |x1(t) - x2(lambda(t))|^2 over one query array into `sup2`,
-        one entry per first path. t=None means the grid itself."""
+        """Fold sup |x1(t) - x2(lambda(t))|^2 over one query array into the
+        rows of `sup2`, one per first path. t=None means the grid itself."""
         grid = self.grid
         if t is None:
             t = grid.times
@@ -563,14 +563,15 @@ def batch_skorohod_upper(det, batch, good, trace=None):
     the deterministic jump times and ``batch.tau[c]`` when `good[c]`, else
     under the identity.
 
-    Returns ``(to_det, to_first_order)``, one entry per column. The second
-    compares column ``e * M + i`` with the first-order path
+    Returns ``(cost, sup)``: `cost` is the (C,) cost of each column's
+    distortion, and `sup` the (F, C) sup terms, row 0 against the
+    deterministic path and, with a trace, row 1 against the first-order path
     ``det + batch.levels[e].epsilon * trace[:, i]`` in the radius, where
     ``trace = (values, pre, post)`` is the output of ``fluctuation_trace``
-    for the M replicas; it is None without a trace. Each entry equals
-    ``skorohod_upper`` on the corresponding path objects, because the sup
-    runs over the same points, grid ∪ λ⁻¹(grid ∪ tau) ∪ knots, with right
-    values everywhere and left limits at the jump points.
+    for the M replicas. ``np.maximum(cost, sup[f])`` equals ``skorohod_upper``
+    on the corresponding path objects, because the sup runs over the same
+    points, grid ∪ λ⁻¹(grid ∪ tau) ∪ knots, with right values everywhere and
+    left limits at the jump points.
     """
     times = det.grid.times
     if not np.array_equal(batch.grid.times, times):
@@ -585,7 +586,7 @@ def batch_skorohod_upper(det, batch, good, trace=None):
             raise InvalidInputError("a good replica needs one increasing impulse time per "
                                     "deterministic jump, inside (0, T)")
     grid = _Grid(det)
-    out = [np.empty(m) for _ in range(1 if trace is None else 2)]
+    cost, sup = np.empty(m), np.zeros((1 if trace is None else 2, m))
     size = max(1, _POINT_BUDGET // n_points)
     for lo in range(0, m, size):
         rows = slice(lo, min(m, lo + size))
@@ -595,15 +596,14 @@ def batch_skorohod_upper(det, batch, good, trace=None):
         firsts = [grid.det]
         if trace is not None:
             firsts.append(grid.first_order(trace, levels, np.arange(lo, rows.stop), per_level))
-        sup2 = [np.zeros(block.good.shape[0]) for _ in firsts]
         # grid, lambda^-1(grid), lambda^-1(tau); unused impulse slots query t = 0.
         valid = np.arange(block.tau.shape[1]) < block.counts[:, None]
+        sup2 = sup[:, rows]
         block.scan(None, firsts, sup2)
         block.scan(block.lam_inv(times), firsts, sup2)
         block.scan(block.lam_inv(np.where(valid, block.tau, 0.0)), firsts, sup2)
-        for dest, s2 in zip(out, sup2):
-            dest[rows] = np.maximum(block.cost, np.sqrt(s2))
-    return out[0], (out[1] if trace is not None else None)
+        cost[rows] = block.cost
+    return cost, np.sqrt(sup, out=sup)
 
 
 def aligning_cost_bound(delta: float, alpha: float, horizon: float) -> float:

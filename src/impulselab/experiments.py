@@ -5,8 +5,9 @@ replica at every epsilon, so each chunk is simulated at all noise levels in
 one step loop, with one fluctuation trace shared by the levels, and scored at
 all levels in one distance call. Each noisy path is aligned with the
 deterministic trajectory through the good-set time distortion of its epsilon
-(identity off the good set); the driver records the chosen upper bound of
-the Skorohod distance and averages its beta-th power per epsilon. A
+(identity off the good set); the kernel returns the two terms of the
+Skorohod upper bound, the distortion's cost and the sup distance, and the
+driver records their maximum and averages its beta-th power per epsilon. A
 log-log least squares fit across the epsilon grid estimates the convergence
 rate. The refined mode couples a first-order correction to the same replicas
 and reports both distance sets so baseline and refinement can be compared
@@ -16,6 +17,7 @@ seed for seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +61,12 @@ class ExperimentConfig:
             raise ConfigError("every epsilon must lie in (0, 1)", field="eps_grid")
         if len(set(grid)) < len(grid):
             raise ConfigError("epsilon values must be distinct", field="eps_grid")
-        if self.replicas < 1:
-            raise ConfigError("replica count must be positive", field="replicas")
+        if not isinstance(self.replicas, numbers.Integral) or self.replicas < 1:
+            raise ConfigError("replica count must be a positive integer", field="replicas")
         if self.beta not in (1, 2):
             raise ConfigError("moment order beta must be 1 or 2", field="beta")
+        if not self.p < math.inf:
+            raise ConfigError("angular exponent p must be finite", field="p")
         if not (1.0 < self.nu < self.p):
             raise ConfigError("good-set exponent nu must lie in (1, p)", field="nu")
         if not self.dt > 0.0:
@@ -73,10 +77,10 @@ class ExperimentConfig:
             raise ConfigError("horizon must be positive", field="horizon")
         if self.horizon == math.inf:
             raise ConfigError("horizon must be finite", field="horizon")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk size must be positive", field="chunk_size")
-        if self.master_seed < 0:
-            raise ConfigError("seed must be nonnegative", field="seed")
+        if not isinstance(self.chunk_size, numbers.Integral) or self.chunk_size < 1:
+            raise ConfigError("chunk size must be a positive integer", field="chunk_size")
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+            raise ConfigError("seed must be a nonnegative integer", field="seed")
 
 
 @dataclass(frozen=True)
@@ -160,10 +164,10 @@ def _maybe_fit(rows) -> RateFit | None:
 
 
 def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool):
-    """Shared driver. Returns (baseline rows, refined rows or None)."""
+    """Shared driver. Returns one row list per first path: the deterministic
+    path, then, when `compute_refined`, the first-order path."""
     grid = simulation_grid(spec.alpha, config.horizon, config.dt)
     det = integrate_deterministic(spec, grid)
-    n_impulses = grid.n_impulses
     eps_grid = config.eps_grid
     deltas = [eps ** config.nu for eps in eps_grid]
     for eps, delta in zip(eps_grid, deltas):
@@ -171,37 +175,28 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool):
             raise ConfigError(f"epsilon {eps} gives delta {delta:.4g} >= alpha/4; "
                               "good-set classification is undefined there")
     levels = tuple(NoiseParams(epsilon=eps, p=config.p, sigma=1) for eps in eps_grid)
-    base_d = np.empty((len(eps_grid), config.replicas))
-    refined_d = np.empty_like(base_d) if compute_refined else None
-    bad = [0] * len(eps_grid)
-    per_chunk = max(1, config.chunk_size // len(eps_grid))
+    n_eps = len(eps_grid)
+    distances = np.empty((2 if compute_refined else 1, n_eps, config.replicas))
+    bad = np.zeros(n_eps, dtype=np.int64)
+    per_chunk = max(1, config.chunk_size // n_eps)
     for offset in range(0, config.replicas, per_chunk):
         count = min(per_chunk, config.replicas - offset)
         batch = simulate_batch(spec, levels, config.horizon, config.dt, config.master_seed,
                                count, replica_offset=offset, store_increments=compute_refined)
         trace = fluctuation_trace(spec, det, batch.w_increments) if compute_refined else None
-        chunk = slice(offset, offset + count)
-        good = []
-        for e, delta in enumerate(deltas):
-            cols = slice(e * count, (e + 1) * count)
-            good.append(good_set_mask(batch.tau[cols], batch.counts[cols], spec.alpha,
-                                      n_impulses, delta))
-            bad[e] += count - int(np.count_nonzero(good[-1]))
-        base, refined = batch_skorohod_upper(det, batch, np.concatenate(good), trace)
-        base_d[:, chunk] = base.reshape(-1, count)
-        if compute_refined:
-            refined_d[:, chunk] = refined.reshape(-1, count)
+        good = good_set_mask(batch.tau, batch.counts, spec.alpha, grid.n_impulses,
+                             np.repeat(deltas, count))
+        bad += count - np.count_nonzero(good.reshape(n_eps, count), axis=1)
+        cost, sup = batch_skorohod_upper(det, batch, good, trace)
+        distances[:, :, offset:offset + count] = np.maximum(cost, sup).reshape(-1, n_eps, count)
         del batch, trace
-    base_rows = [_row(eps, d ** config.beta, b) for eps, d, b in zip(eps_grid, base_d, bad)]
-    if not compute_refined:
-        return base_rows, None
-    return base_rows, [_row(eps, d ** config.beta, b)
-                       for eps, d, b in zip(eps_grid, refined_d, bad)]
+    return [[_row(eps, d ** config.beta, b) for eps, d, b in zip(eps_grid, first, bad.tolist())]
+            for first in distances]
 
 
 def lln_experiment(config: ExperimentConfig, spec: SystemSpec) -> ExperimentReport:
     """Distance between the noisy path and the deterministic trajectory."""
-    rows, _ = _run(config, spec, compute_refined=False)
+    (rows,) = _run(config, spec, compute_refined=False)
     return ExperimentReport(mode="lln", config=config, rows=tuple(rows), fit=_maybe_fit(rows))
 
 

@@ -257,13 +257,12 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     levels = (noise,) if isinstance(noise, NoiseParams) else tuple(noise)
     if not levels:
         raise ParameterError("need at least one noise level")
-    if n_replicas < 1:
-        raise ParameterError("need at least one replica")
+    if _count(n_replicas, "n_replicas") < 1:
+        raise ParameterError("need at least one replica", field="n_replicas")
     if dt > spec.alpha / 200.0:
         raise ResolutionError("stochastic step size must not exceed alpha/200")
     grid = simulation_grid(spec.alpha, horizon, dt)
-    if n_max is None:
-        n_max = 10 * int(math.ceil(horizon / spec.alpha))
+    n_max = 10 * int(math.ceil(horizon / spec.alpha)) if n_max is None else _count(n_max, "n_max")
     n, m = grid.steps.shape[0], n_replicas
     eps = np.array([lv.epsilon for lv in levels])
     eps_ang = np.array([lv.angular_scale for lv in levels])
@@ -310,10 +309,12 @@ def classify_good_set(times: np.ndarray, alpha: float, n_expected: int,
 
 
 def good_set_mask(tau: np.ndarray, counts: np.ndarray, alpha: float, n_expected: int,
-                  delta: float) -> np.ndarray:
+                  delta) -> np.ndarray:
     """:func:`classify_good_set` for a batch: `tau` is (M, n_max), valid up to
-    `counts`, as in :class:`BatchResult`. Returns the (M,) good flags."""
-    if not (0.0 < delta < alpha / 4.0):
+    `counts`, as in :class:`BatchResult`, and `delta` one threshold or an (M,)
+    array of them, one per row. Returns the (M,) good flags."""
+    delta = np.reshape(np.asarray(delta, dtype=float), (-1, 1))
+    if not np.all((0.0 < delta) & (delta < alpha / 4.0)):
         raise ParameterError("delta must lie in (0, alpha/4)")
     if n_expected < 0:
         raise ParameterError("expected impulse count must be nonnegative")

@@ -21,6 +21,7 @@ from impulselab import (
     classify_good_set,
     clt_experiment,
     constant_drift,
+    distortion_cost,
     integrate_deterministic,
     linear_reset,
     simulate_batch,
@@ -52,7 +53,8 @@ def oracle(det, batch, good, trace, eps):
 
 
 def assert_matches_oracle(det, batch, good, trace, eps):
-    to_det, to_first = batch_skorohod_upper(det, batch, good, trace)
+    cost, sup = batch_skorohod_upper(det, batch, good, trace)
+    to_det, to_first = np.maximum(cost, sup)
     want_det, want_first = oracle(det, batch, good, trace, eps)
     np.testing.assert_allclose(to_det, want_det, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(to_first, want_first, rtol=1e-12, atol=0.0)
@@ -149,19 +151,36 @@ def test_kernel_is_bitwise_equal_on_acceptance_grid(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     assert 0 < np.count_nonzero(good) < len(batch)
     trace = fluctuation_trace(spec, det, batch.w_increments)
-    got = batch_skorohod_upper(det, batch, good, trace)
+    cost, sup = batch_skorohod_upper(det, batch, good, trace)
     want = oracle(det, batch, good, trace, 0.2)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert sup.shape == (2, len(batch))
+    assert np.array_equal(np.maximum(cost, sup[0]), want[0])
+    assert np.array_equal(np.maximum(cost, sup[1]), want[1])
+
+
+def test_cost_is_the_aligning_distortion_cost(acceptance_batch):
+    """The first term of the bound, column by column: the cost of the
+    distortion the oracle builds, 0.0 under the identity."""
+    spec, det, batch, good = acceptance_batch
+    grid = det.grid
+    cost, _ = batch_skorohod_upper(det, batch, good)
+    want = [distortion_cost(build_aligning_distortion(grid.impulse_times(),
+                                                      batch.impulse_times(i), grid.horizon,
+                                                      bool(good[i])))
+            for i in range(len(batch))]
+    assert cost.shape == (len(batch),) and np.array_equal(cost, want)
+    assert np.all(cost[~good] == 0.0) and np.all(cost[good] > 0.0)
 
 
 def test_zero_fluctuation_refined_equals_baseline_exactly(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     n, m = batch.r_values.shape[0], len(batch)
     zeros = (np.zeros((n, m)), np.zeros((2, m)), np.zeros((2, m)))
-    to_det, to_first = batch_skorohod_upper(det, batch, good, zeros)
-    assert np.array_equal(to_first, to_det)
-    alone, none = batch_skorohod_upper(det, batch, good)
-    assert none is None and np.array_equal(alone, to_det)
+    cost, sup = batch_skorohod_upper(det, batch, good, zeros)
+    assert np.array_equal(sup[1], sup[0])
+    alone_cost, alone = batch_skorohod_upper(det, batch, good)
+    assert alone.shape == (1, m) and np.array_equal(alone[0], sup[0])
+    assert np.array_equal(alone_cost, cost)
 
 
 def test_good_row_needs_n_increasing_impulses(acceptance_batch):

@@ -60,12 +60,20 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("name, value, field", [
         ("master_seed", -1, "seed"), ("dt", math.nan, "dt"), ("horizon", math.nan, "horizon"),
-        ("horizon", math.inf, "horizon"),
+        ("horizon", math.inf, "horizon"), ("replicas", 2.5, "replicas"),
+        ("chunk_size", 10.0, "chunk_size"), ("master_seed", 1.5, "seed"), ("p", math.inf, "p"),
+        ("p", math.nan, "p"),
     ])
     def test_rejected_when_built(self, name, value, field):
         with pytest.raises(ConfigError) as info:
             small_config(**{name: value})
         assert info.value.field == field
+
+    def test_numpy_integers_are_counts(self, halving_spec):
+        config = small_config(replicas=np.int64(2), chunk_size=np.int32(3),
+                              master_seed=np.uint8(2))
+        want = small_config(replicas=2, chunk_size=3)
+        assert lln_experiment(config, halving_spec).rows == lln_experiment(want, halving_spec).rows
 
     def test_seed_error_comes_after_the_other_fields(self):
         with pytest.raises(ConfigError) as info:
@@ -220,8 +228,8 @@ def per_epsilon_reference(config, spec):
         good = good_set_mask(batch.tau, batch.counts, spec.alpha, grid.n_impulses,
                              eps ** config.nu)
         trace = fluctuation_trace(spec, det, batch.w_increments)
-        distances = batch_skorohod_upper(det, batch, good, trace)
-        for rows, d in zip((base_rows, refined_rows), distances):
+        cost, sup = batch_skorohod_upper(det, batch, good, trace)
+        for rows, d in zip((base_rows, refined_rows), np.maximum(cost, sup)):
             powered = d ** config.beta
             rows.append(EpsilonRow(epsilon=eps, mean_distance=float(np.mean(powered)),
                                    stderr=float(np.std(powered, ddof=1) / math.sqrt(d.size)),

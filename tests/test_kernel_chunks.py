@@ -14,6 +14,7 @@ from impulselab import (
     ExperimentConfig,
     InvalidInputError,
     NoiseParams,
+    ParameterError,
     SimulationGrid,
     clt_experiment,
     integrate_deterministic,
@@ -130,16 +131,26 @@ def test_one_call_over_levels_equals_one_call_per_level(level_batch, with_trace)
     arrays are bitwise the block's."""
     spec, det, batch, good, trace, m = level_batch
     trace = trace if with_trace else None
-    to_det, to_first = batch_skorohod_upper(det, batch, good, trace)
+    cost, sup = batch_skorohod_upper(det, batch, good, trace)
+    assert sup.shape == (2 if with_trace else 1, len(batch))
     for e, eps in enumerate(LEVELS):
         cols = slice(e * m, (e + 1) * m)
         alone = simulate_levels(spec, (eps,), m)
-        want_det, want_first = batch_skorohod_upper(det, alone, good[cols], trace)
-        assert np.array_equal(to_det[cols], want_det)
-        if with_trace:
-            assert np.array_equal(to_first[cols], want_first)
-        else:
-            assert to_first is None and want_first is None
+        want_cost, want_sup = batch_skorohod_upper(det, alone, good[cols], trace)
+        assert np.array_equal(cost[cols], want_cost)
+        assert np.array_equal(sup[:, cols], want_sup)
+
+
+def test_good_set_mask_takes_one_delta_per_column(level_batch):
+    """One call with each level's delta repeated over its columns flags the
+    columns as one call per level does."""
+    spec, det, batch, good, trace, m = level_batch
+    deltas = np.repeat([eps ** 1.5 for eps in LEVELS], m)
+    got = good_set_mask(batch.tau, batch.counts, spec.alpha, det.grid.n_impulses, deltas)
+    assert np.array_equal(got, good)
+    deltas[m] = spec.alpha / 4.0
+    with pytest.raises(ParameterError):
+        good_set_mask(batch.tau, batch.counts, spec.alpha, det.grid.n_impulses, deltas)
 
 
 def test_columns_must_split_over_the_levels(level_batch):
@@ -153,26 +164,33 @@ def test_relevelling_a_batch_changes_only_its_refined_distances(level_batch):
     labelled with other levels keep their distances to the deterministic path,
     and every block's distances to det + epsilon * Z move."""
     spec, det, batch, good, trace, m = level_batch
-    to_det, to_first = batch_skorohod_upper(det, batch, good, trace)
+    cost, sup = batch_skorohod_upper(det, batch, good, trace)
     relevelled = replace(batch, levels=batch.levels[::-1])
-    other_det, other_first = batch_skorohod_upper(det, relevelled, good, trace)
-    assert np.array_equal(other_det, to_det)
+    other_cost, other_sup = batch_skorohod_upper(det, relevelled, good, trace)
+    assert np.array_equal(other_cost, cost) and np.array_equal(other_sup[0], sup[0])
     for e in range(len(LEVELS)):
         cols = slice(e * m, (e + 1) * m)
-        assert not np.array_equal(other_first[cols], to_first[cols])
+        assert not np.array_equal(other_sup[1, cols], sup[1, cols])
 
 
 @pytest.mark.parametrize("driver", [lln_experiment, clt_experiment])
 def test_driver_scores_each_chunk_in_one_kernel_call(halving_spec, monkeypatch, driver):
-    columns = []
-    kernel = experiments.batch_skorohod_upper
+    """One good-set call and one kernel call per chunk, each over all of the
+    chunk's columns."""
+    columns = {"batch_skorohod_upper": [], "good_set_mask": []}
 
-    def counting_kernel(*args, **kwargs):
-        columns.append(len(args[2]))
-        return kernel(*args, **kwargs)
+    def counting(name, column_arg):
+        original = getattr(experiments, name)
 
-    monkeypatch.setattr(experiments, "batch_skorohod_upper", counting_kernel)
+        def wrapper(*args, **kwargs):
+            columns[name].append(len(args[column_arg]))
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, column_arg in (("batch_skorohod_upper", 2), ("good_set_mask", 0)):
+        monkeypatch.setattr(experiments, name, counting(name, column_arg))
     config = ExperimentConfig(eps_grid=LEVELS, replicas=9, beta=1, nu=1.5, p=2.0, dt=2e-3,
                               horizon=4.0, master_seed=4, chunk_size=8)
     driver(config, halving_spec)
-    assert columns == [2 * len(LEVELS)] * 4 + [len(LEVELS)]
+    per_chunk = [2 * len(LEVELS)] * 4 + [len(LEVELS)]
+    assert columns == {"batch_skorohod_upper": per_chunk, "good_set_mask": per_chunk}

@@ -177,6 +177,14 @@ class TestReproducibility:
                            master_seed=seed, n_replicas=1)
         assert info.value.field == "master_seed"
 
+    @pytest.mark.parametrize("field", ["n_replicas", "n_max"])
+    def test_batch_refuses_counts_that_are_not_integers(self, halving_spec, noise, field):
+        counts = {"n_replicas": 1, "n_max": 8, field: 2.5}
+        with pytest.raises(ParameterError) as info:
+            simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400, master_seed=0,
+                           **counts)
+        assert info.value.field == field
+
     def test_record_needs_a_seed_sequence(self):
         grid = simulation_grid(ALPHA, 4.0, ALPHA / 400)
         with pytest.raises(ParameterError):
