@@ -25,7 +25,7 @@ from .stochastic import (BatchResult, BrownianRecord, GoodSetRecord, NoiseParams
                          classify_good_set, good_set_mask, good_set_probability_bound,
                          replica_seed_sequence, simulate_batch)
 from .system import (DeterministicSolution, DriftModel, ResetModel, SimulationGrid,
-                     SystemSpec, constant_drift, deterministic_trajectory, impact_count,
+                     SystemSpec, constant_drift, deterministic_trajectory,
                      integrate_deterministic, linear_reset, saturating_reset,
                      simulation_grid, solution_to_path, table_drift, table_reset,
                      tanh_drift)
@@ -45,8 +45,7 @@ __all__ = [
     "constant_drift", "derived_tail_constant", "deterministic_trajectory",
     "distortion_cost", "first_order_on_grid", "fit_rate",
     "fluctuation_path", "fpt_cdf", "fpt_density", "fpt_laplace", "fpt_tail_bound",
-    "good_set_mask", "good_set_probability_bound", "impact_count",
-    "integrate_deterministic",
+    "good_set_mask", "good_set_probability_bound", "integrate_deterministic",
     "ks_test", "linear_reset", "lln_experiment", "load_config", "read_path_csv",
     "renewal_mgf_bound", "replica_seed_sequence", "saturating_reset",
     "simulate_batch", "simulation_grid", "skorohod_oracle",

@@ -204,9 +204,6 @@ class TimeDistortion:
     def slopes(self) -> np.ndarray:
         return np.diff(self.knot_values) / np.diff(self.knot_times)
 
-    def is_identity(self) -> bool:
-        return bool(np.all(self.slopes() == 1.0))
-
 
 def distortion_cost(distortion: TimeDistortion) -> float:
     """Max over knot intervals of |log slope|; zero exactly for the identity."""
@@ -345,8 +342,8 @@ class _Grid:
         self.jump_order = np.full(n, -1)
         self.jump_order[jump_index] = np.arange(jump_index.shape[0])
         self.det_r, self.det_pre, self.det_post = det.r_values, det.pre_radii, det.post_radii
-        self.det = (_grid_steps(det.r_values.copy(), self.steps, jump_index, det.pre_radii,
-                                det.post_radii), det.pre_radii)
+        self.det = (*_grid_steps(det.r_values.copy(), self.steps, jump_index, det.pre_radii,
+                                 det.post_radii), det.pre_radii)
         self.theta = _grid_steps(det.theta_values.copy(), self.steps, jump_index, alpha, 0.0)
 
     def _bucket(self, t):
@@ -362,20 +359,22 @@ class _Grid:
         return j
 
     def first_order(self, trace, levels, columns, per_level):
-        """Grid steps and pre-jump radii of det + epsilon * trace for the
-        given columns; column c reads trace column c mod per_level at level
-        levels[c // per_level]."""
+        """Grid step starts and slopes and pre-jump radii of det + epsilon *
+        trace for the given columns; column c reads trace column c mod
+        per_level at level levels[c // per_level]."""
         eps = levels[columns // per_level, None]
         values, pre, post = (a[:, columns % per_level].T for a in trace)
         fo_pre = self.det_pre + eps * pre
         start = np.add(self.det_r, eps * values, order="C")
-        return (_grid_steps(start, self.steps, self.jump_index, fo_pre,
-                            self.det_post + eps * post), fo_pre)
+        return (*_grid_steps(start, self.steps, self.jump_index, fo_pre,
+                             self.det_post + eps * post), fo_pre)
 
 
 class _ReplicaBlock:
     """A block of noisy replicas and their distortions as flat arrays.
 
+    Every table it reads has one row per replica; a first path shared by all
+    rows, the deterministic one, comes as read-only broadcast views.
     Values are computed with np.interp's arithmetic (slope * (x - x_j) + y_j,
     y_j exactly at a knot), which makes every distance bitwise equal to
     skorohod_upper on the path objects.
@@ -391,11 +390,11 @@ class _ReplicaBlock:
         self.theta = _grid_steps(theta, grid.steps)
         # Good rows map the deterministic jump times onto their noisy twins;
         # the others keep the identity, whose arithmetic is exact.
-        kv = np.tile(knots, (size, 1))
+        self.kt = np.tile(knots, (size, 1))
+        self.kv = kv = self.kt.copy()
         kv[good, 1:-1] = tau[good, : knots.shape[0] - 2]
         forward = np.diff(kv, axis=1) / np.diff(knots)
         self.cost = np.max(np.abs(np.log(forward)), axis=1)
-        self.kv = kv
         self.forward = np.pad(forward, ((0, 0), (0, 1)))
         self.backward = np.pad(np.diff(knots) / np.diff(kv, axis=1), ((0, 0), (0, 1)))
         width = max(int(counts.max(initial=0)), 1)
@@ -411,15 +410,20 @@ class _ReplicaBlock:
         on_grid = (grid.times[step] == jumps) & (step > 0)
         self.flag[rows[on_grid], step[on_grid] - 1] = True
 
-    def lam(self, t):
-        """lambda(t) row by row; t is (rows, k), inside [0, T]."""
-        knots = self.grid.knots
-        j = np.zeros(t.shape, dtype=np.intp)
-        for knot in knots[1:]:
-            j += t >= knot
+    def _map(self, x, xs, ys, slopes):
+        """The piecewise-linear map through the knots (xs, ys) of each row,
+        with `slopes` on the knot intervals, at x inside [0, T]; the identity
+        on rows that are not good."""
+        j = np.zeros(np.broadcast_shapes(np.shape(x), (xs.shape[0], 1)), dtype=np.intp)
+        for c in range(1, xs.shape[1]):
+            j += x >= xs[:, c:c + 1]
         flat = self.knot_offsets + j
-        u = self.forward.take(flat) * (t - knots[j]) + self.kv.take(flat)
-        return np.where(self.good[:, None], u, t)
+        y = slopes.take(flat) * (x - xs.take(flat)) + ys.take(flat)
+        return np.where(self.good[:, None], y, x)
+
+    def lam(self, t):
+        """lambda(t) row by row."""
+        return self._map(t, self.kt, self.kv, self.forward)
 
     def lam_grid(self):
         """lambda on the grid, one knot interval of grid points at a time."""
@@ -435,12 +439,7 @@ class _ReplicaBlock:
 
     def lam_inv(self, s):
         """lambda^{-1}(s) row by row."""
-        j = np.zeros(np.broadcast_shapes(np.shape(s), (self.kv.shape[0], 1)), dtype=np.intp)
-        for c in range(1, self.kv.shape[1]):
-            j += s >= self.kv[:, c:c + 1]
-        flat = self.knot_offsets + j
-        t = self.backward.take(flat) * (s - self.kv.take(flat)) + self.grid.knots[j]
-        return np.where(self.good[:, None], t, s)
+        return self._map(s, self.kv, self.kt, self.backward)
 
     def noisy_at(self, u):
         """Right values of the noisy paths at u, plus the flat indices where u
@@ -485,34 +484,30 @@ class _ReplicaBlock:
         return r, th, fix[at_jump], self.pre[row, prev][at_jump]
 
     def first_at(self, t, firsts):
-        """Right values of the first paths and the angle at t, of shape
-        (rows, k), plus the flat indices where t is a deterministic jump time
-        and the order of that jump."""
+        """Right values of the first paths, row by row, and the angle at t,
+        of shape (rows, k), plus the flat indices where t is a deterministic
+        jump time and the order of that jump."""
         grid = self.grid
         (th0, th_slope), jump_order = grid.theta, grid.jump_order
         j1 = grid.locate(t)
         d1 = t - grid.times[j1]
         th1 = th_slope[j1] * d1 + th0[j1]
-        r1 = []
-        for (start, slope), _ in firsts:
-            if start.ndim == 1:
-                r1.append(slope[j1] * d1 + start[j1])
-            else:
-                idx = self.offsets + j1
-                r1.append(slope.take(idx) * d1 + start.take(idx))
+        idx = self.offsets + j1
+        r1 = [slope.take(idx) * d1 + start.take(idx) for start, slope, _ in firsts]
         on_grid = np.flatnonzero(d1 == 0)
         order = jump_order[j1.ravel()[on_grid]]
         return r1, th1, on_grid[order >= 0], order[order >= 0]
 
     def scan(self, t, firsts, sup2):
-        """Fold sup |x1(t) - x2(lambda(t))|^2 over one query array into the
-        rows of `sup2`, one per first path. t=None means the grid itself."""
+        """Fold sup |x1(t) - x2(lambda(t))|^2 over one (rows, k) query array
+        into the rows of `sup2`, one per first path (grid step starts, slopes
+        and pre-jump radii, by row). t=None means the grid itself."""
         grid = self.grid
         if t is None:
             t = grid.times
             width = t.shape[0]
-            r1 = [steps[0] for steps, _ in firsts]
-            th1 = grid.theta[0]
+            r1 = [start for start, _, _ in firsts]
+            th1 = np.broadcast_to(grid.theta[0], (self.good.shape[0], width))
             jumps1 = (self.offsets + grid.jump_index).ravel()
             order1 = np.tile(grid.jump_order[grid.jump_index], self.good.shape[0])
             u = self.lam_grid()
@@ -533,23 +528,18 @@ class _ReplicaBlock:
         row = points // width
         at1 = np.searchsorted(points, jumps1)
         at2 = np.searchsorted(points, jumps2)
-        th1_left = _pick(th1, points, width)
+        th1_left = th1.flat[points]
         th1_left[at1] = grid.alpha
         r2_left = r2.ravel()[points]
         r2_left[at2] = pre2
         th2_left = th2.ravel()[points]
         th2_left[at2] = grid.alpha
         dth = th1_left - th2_left
-        for s2, r, (_, pre1) in zip(sup2, r1, firsts):
-            r1_left = _pick(r, points, width)
-            r1_left[at1] = pre1[order1] if pre1.ndim == 1 else pre1[row[at1], order1]
+        for s2, r, (_, _, pre1) in zip(sup2, r1, firsts):
+            r1_left = r.flat[points]
+            r1_left[at1] = pre1[row[at1], order1]
             dr = r1_left - r2_left
             np.maximum.at(s2, row, dr * dr + dth * dth)
-
-
-def _pick(a, flat, width):
-    """Entries of a (rows, width) array, or of one row shared by all rows."""
-    return a[flat % width] if a.ndim == 1 else a.ravel()[flat]
 
 
 def batch_skorohod_upper(det, batch, good, trace=None):
@@ -580,6 +570,12 @@ def batch_skorohod_upper(det, batch, good, trace=None):
     levels = np.array([level.epsilon for level in batch.levels])
     per_level = m // levels.shape[0]
     n_points, n_jumps = times.shape[0], det.grid.n_impulses
+    good = np.asarray(good)
+    if good.dtype != bool or good.shape != (m,):
+        raise InvalidInputError(f"good must be a ({m},) bool array")
+    want = [(n_points, per_level), (n_jumps, per_level), (n_jumps, per_level)]
+    if trace is not None and [np.shape(a) for a in trace] != want:
+        raise InvalidInputError(f"trace arrays must have the shapes {want}")
     if good.any():
         legs = np.diff(tau[good, :n_jumps], axis=1, prepend=0.0, append=times[-1])
         if np.any(counts[good] != n_jumps) or not np.all(legs > 0):
@@ -593,7 +589,7 @@ def batch_skorohod_upper(det, batch, good, trace=None):
         block = _ReplicaBlock(grid, np.ascontiguousarray(batch.r_values[:, rows].T),
                               np.ascontiguousarray(batch.theta_values[:, rows].T), tau[rows],
                               batch.pre[rows], batch.post[rows], counts[rows], good[rows])
-        firsts = [grid.det]
+        firsts = [[np.broadcast_to(a, (rows.stop - lo, a.shape[0])) for a in grid.det]]
         if trace is not None:
             firsts.append(grid.first_order(trace, levels, np.arange(lo, rows.stop), per_level))
         # grid, lambda^-1(grid), lambda^-1(tau); unused impulse slots query t = 0.
@@ -687,7 +683,8 @@ def write_path_csv(path: CadlagPath, destination) -> None:
 def read_path_csv(source) -> CadlagPath:
     """Inverse of :func:`write_path_csv`; round-trips samples exactly.
 
-    A file that is not such a CSV raises :class:`DataError` naming its line."""
+    A file that is not such a CSV raises :class:`DataError`, naming the line
+    at fault where there is one."""
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
@@ -718,6 +715,11 @@ def read_path_csv(source) -> CadlagPath:
         raise DataError(f"path CSV line {number}: a field is not a number") from None
     if not seg_times:
         raise DataError("not a path CSV: no sample after line 2")
-    horizon = seg_times[-1][-1]
     segments = [(np.array(t), np.array(v)) for t, v in zip(seg_times, seg_values)]
-    return CadlagPath(horizon, segments, jump_times=jump_times if jump_times.size else None)
+    try:
+        path = CadlagPath(seg_times[-1][-1], segments)
+    except ShapeError as err:
+        raise DataError(f"not a path CSV: {err}") from None
+    if jump_times.size and not np.array_equal(jump_times, path.jump_times):
+        raise DataError("path CSV line 1: jump times do not match the segment starts")
+    return path

@@ -117,8 +117,8 @@ def fit_rate(points) -> RateFit:
     pts = [(float(e), float(m)) for e, m in points]
     if len(pts) < 3:
         raise DataError("rate fit needs at least 3 points")
-    if any(m <= 0.0 for _, m in pts):
-        raise DataError("rate fit needs positive means")
+    if not all(0.0 < v < math.inf for pt in pts for v in pt):
+        raise DataError("rate fit needs positive finite epsilons and means")
     x = np.log([e for e, _ in pts])
     y = np.log([m for _, m in pts])
     (slope, intercept), residuals, rank, *_ = np.polyfit(x, y, 1, full=True)

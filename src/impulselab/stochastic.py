@@ -313,12 +313,13 @@ def good_set_mask(tau: np.ndarray, counts: np.ndarray, alpha: float, n_expected:
     """:func:`classify_good_set` for a batch: `tau` is (M, n_max), valid up to
     `counts`, as in :class:`BatchResult`, and `delta` one threshold or an (M,)
     array of them, one per row. Returns the (M,) good flags."""
+    tau = np.asarray(tau, dtype=float)
     delta = np.reshape(np.asarray(delta, dtype=float), (-1, 1))
+    if delta.shape[0] not in (1, tau.shape[0]):
+        raise ParameterError(f"delta needs 1 or {tau.shape[0]} entries, got {delta.shape[0]}")
     if not np.all((0.0 < delta) & (delta < alpha / 4.0)):
         raise ParameterError("delta must lie in (0, alpha/4)")
-    if n_expected < 0:
-        raise ParameterError("expected impulse count must be nonnegative")
-    lead = np.asarray(tau, dtype=float)[:, :n_expected]
+    lead = tau[:, :_count(n_expected, "n_expected")]
     deviations = np.abs(lead - alpha * np.arange(1, lead.shape[1] + 1))
     return (np.asarray(counts) == n_expected) & np.all(deviations <= delta, axis=1)
 

@@ -331,15 +331,3 @@ def deterministic_trajectory(spec: SystemSpec, horizon: float, dt: float) -> Cad
     grid = simulation_grid(spec.alpha, horizon, dt)
     return solution_to_path(integrate_deterministic(spec, grid))
 
-
-def impact_count(t: float, alpha: float) -> int:
-    """Number of impulse times in (0, t]; an exact multiple counts as reached."""
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-    if t < 0:
-        raise ParameterError("time must be nonnegative")
-    q = t / alpha
-    k = int(math.floor(q))
-    if q - k > 1.0 - 1e-9:
-        k += 1
-    return k

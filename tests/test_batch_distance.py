@@ -197,6 +197,18 @@ def test_good_row_needs_n_increasing_impulses(acceptance_batch):
         batch_skorohod_upper(det, broken, forced)
 
 
+def test_kernel_refuses_a_malformed_mask_or_trace(acceptance_batch):
+    spec, det, batch, good = acceptance_batch
+    for mask in (good.astype(int), good[:-1], good[None, :]):
+        with pytest.raises(InvalidInputError, match="bool array"):
+            batch_skorohod_upper(det, batch, mask)
+    values, pre, post = fluctuation_trace(spec, det, batch.w_increments)
+    wide = np.hstack([values, values]), np.hstack([pre, pre]), np.hstack([post, post])
+    for trace in (wide, (values[:-1], pre, post), (values, pre[:1], post), (values, pre)):
+        with pytest.raises(InvalidInputError, match="trace arrays"):
+            batch_skorohod_upper(det, batch, good, trace)
+
+
 def test_batch_on_another_grid_is_refused(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     coarse = simulate_batch(spec, NoiseParams(epsilon=0.2, p=2.0), 4.0, 2e-3, 0, 3)

@@ -382,6 +382,9 @@ class TestCliCommands:
             (good[:4] + ["2,0.5,0", "2,1,1"],
              "path CSV line 5: segment index 2 does not follow 0"),
             (good[:2], "not a path CSV: no sample after line 2"),
+            (["jump_times,0.25"] + good[1:],
+             "path CSV line 1: jump times do not match the segment starts"),
+            (good[:3] + ["0,0.5,nan"] + good[4:], "not a path CSV: path samples must be finite"),
         ]
         path, bad, out = tmp_path / "p.csv", tmp_path / "bad.csv", tmp_path / "d.json"
         path.write_text("\n".join(good) + "\n")

@@ -122,9 +122,14 @@ class TestFitRate:
         with pytest.raises(DataError, match="distinct"):
             fit_rate([(0.1, 0.01), (0.1, 0.02), (0.1, 0.03)])
 
-    def test_needs_positive_means(self):
-        with pytest.raises(DataError):
-            fit_rate([(0.1, 0.1), (0.2, 0.0), (0.3, 0.3)])
+    @pytest.mark.parametrize("point", [(0.2, 0.0), (0.2, -0.1), (0.2, np.nan), (0.2, np.inf),
+                                       (0.0, 0.2), (-0.2, 0.2), (np.nan, 0.2), (np.inf, 0.2)],
+                             ids=["zero", "negative", "nan", "inf", "zero-epsilon",
+                                  "negative-epsilon", "nan-epsilon", "inf-epsilon"])
+    def test_needs_positive_means(self, point, capfd):
+        with pytest.raises(DataError, match="positive finite"):
+            fit_rate([(0.1, 0.1), point, (0.3, 0.3)])
+        assert capfd.readouterr() == ("", "")
 
 
 class TestKsTest:

@@ -1,5 +1,6 @@
-"""Every name the package and its tests import is read somewhere, and no
-package module reaches into another's private names."""
+"""Every name the package and its tests import is read somewhere, every
+private name a package module defines is read in that module, and no package
+module reaches into another's private names."""
 
 import ast
 import importlib.util
@@ -73,6 +74,61 @@ def test_no_unused_imports_in_src_or_tests():
         # src/impulselab/experiments.py is the module impulselab.experiments.
         module = ".".join(path.relative_to(ROOT).with_suffix("").parts[1:])
         names = unused_imports(path.read_text(encoding="utf-8"), wrapped[module])
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {}
+
+
+def unused_private_definitions(source: str) -> list[str]:
+    """Private names a module defines and never reads, in order of definition.
+
+    Covers module-level functions, classes and assignments whose names start
+    with one underscore, and such methods of the module's classes. A function
+    or class counts as read where its name is loaded; a method where an
+    attribute of that name is loaded.
+    """
+    tree = ast.parse(source)
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    attributes = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, names))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(name.id, names) for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [(item.name, attributes) for item in node.body
+                        if isinstance(item, ast.FunctionDef)]
+    return [name for name, read in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_unused_private_definitions_finds_what_is_never_read():
+    source = ("_USED, _UNUSED = 1, 2\n"
+              "_LIMIT: int = 3\n"
+              "__version__ = '1'\n"
+              "def _helper():\n"
+              "    return _USED + _LIMIT\n"
+              "def _orphan():\n"
+              "    return _helper()\n"
+              "class _Table:\n"
+              "    def __init__(self):\n"
+              "        self._rows = self._load()\n"
+              "    def _load(self):\n"
+              "        return []\n"
+              "    def _stale(self):\n"
+              "        return _Table\n")
+    assert unused_private_definitions(source) == ["_UNUSED", "_orphan", "_stale"]
+
+
+def test_no_unused_private_definitions_in_src():
+    found = {}
+    for path in sorted(ROOT.glob("src/impulselab/**/*.py")):
+        names = unused_private_definitions(path.read_text(encoding="utf-8"))
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}

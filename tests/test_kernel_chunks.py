@@ -98,6 +98,26 @@ def test_near_grid_index_matches_locator_on_aligning_distortions(seed, rows, jit
                           np.searchsorted(times, pushed, side="right") - 1)
 
 
+def test_lambda_maps_knots_to_knots_and_fixes_identity_rows():
+    """On good rows lambda sends each knot time to its image and lambda^-1
+    back, bitwise; on identity rows both return their input bitwise."""
+    rng = np.random.default_rng(4)
+    rows, horizon = 6, 2.6
+    grid = flat_grid(simulation_grid(1.0, horizon, 1e-2))
+    n = grid.times.shape[0]
+    tau = np.array([1.0, 2.0]) + rng.uniform(-0.2, 0.2, size=(rows, 2))
+    good = np.array([True, False, True, True, False, True])
+    block = cadlag._ReplicaBlock(grid, np.zeros((rows, n)), np.zeros((rows, n)), tau,
+                                 np.zeros((rows, 2)), np.zeros((rows, 2)), np.full(rows, 2), good)
+    kt, kv = block.kt, block.kv
+    assert np.array_equal(kv[good, 1:-1], tau[good]) and np.array_equal(kv[~good], kt[~good])
+    assert np.array_equal(block.lam(kt), kv)
+    assert np.array_equal(block.lam_inv(kv), kt)
+    x = rng.uniform(0.0, horizon, size=(rows, 50))
+    assert np.array_equal(block.lam(x)[~good], x[~good])
+    assert np.array_equal(block.lam_inv(x)[~good], x[~good])
+
+
 LEVELS = (0.05, 0.1, 0.2, 0.3)
 
 
@@ -151,6 +171,17 @@ def test_good_set_mask_takes_one_delta_per_column(level_batch):
     deltas[m] = spec.alpha / 4.0
     with pytest.raises(ParameterError):
         good_set_mask(batch.tau, batch.counts, spec.alpha, det.grid.n_impulses, deltas)
+
+
+def test_good_set_mask_refuses_a_bad_count_or_delta_length(level_batch):
+    spec, det, batch, good, trace, m = level_batch
+    n = det.grid.n_impulses
+    for n_expected in (2.5, -1, "2"):
+        with pytest.raises(ParameterError, match="n_expected"):
+            good_set_mask(batch.tau, batch.counts, spec.alpha, n_expected, 0.01)
+    for deltas in (np.full(2, 0.01), np.full(len(batch) + 1, 0.01)):
+        with pytest.raises(ParameterError, match="delta needs"):
+            good_set_mask(batch.tau, batch.counts, spec.alpha, n, deltas)
 
 
 def test_columns_must_split_over_the_levels(level_batch):

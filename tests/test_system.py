@@ -15,7 +15,6 @@ from impulselab import (
     SystemSpec,
     constant_drift,
     deterministic_trajectory,
-    impact_count,
     integrate_deterministic,
     linear_reset,
     saturating_reset,
@@ -69,21 +68,6 @@ class TestSystemSpecValidation:
         assert spec.drift(1.0) == 0.0
 
 
-class TestImpactCount:
-    def test_zero_time(self):
-        assert impact_count(0.0, 0.7) == 0
-
-    def test_floor(self):
-        assert impact_count(2.5, 1.0) == 2
-
-    def test_exact_multiple_counts(self):
-        assert impact_count(np.pi, np.pi / 2) == 2
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            impact_count(1.0, 0.0)
-
-
 class TestDeterministicTrajectory:
     def test_zero_drift_identity_reset(self):
         spec = SystemSpec.from_models(constant_drift(0.0), linear_reset(1.0),
@@ -109,7 +93,7 @@ class TestDeterministicTrajectory:
 
     def test_two_impulses_recorded(self, halving_unit_spec):
         path = deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=1e-3)
-        assert path.jump_times.shape[0] == impact_count(2.5, 1.0) == 2
+        assert path.jump_times.shape[0] == 2
 
     def test_impulse_times_exact(self):
         spec = SystemSpec.from_models(tanh_drift(0.5), linear_reset(0.7),
