@@ -139,11 +139,6 @@ def assemble_from_grid(horizon, times, values, jump_times, pre_states, post_stat
     interpolated pre state as the closing sample of one segment and the post
     state opening the next.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    jump_times = np.atleast_1d(np.asarray(jump_times, dtype=float))
-    pre_states = np.atleast_2d(np.asarray(pre_states, dtype=float))
-    post_states = np.atleast_2d(np.asarray(post_states, dtype=float))
     segments = []
     start_t = times[0]
     start_v = values[0]
@@ -720,6 +715,6 @@ def read_path_csv(source) -> CadlagPath:
         path = CadlagPath(seg_times[-1][-1], segments)
     except ShapeError as err:
         raise DataError(f"not a path CSV: {err}") from None
-    if jump_times.size and not np.array_equal(jump_times, path.jump_times):
+    if not np.array_equal(jump_times, path.jump_times):
         raise DataError("path CSV line 1: jump times do not match the segment starts")
     return path

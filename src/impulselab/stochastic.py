@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cadlag import CadlagPath, assemble_from_grid
+from .cadlag import CadlagPath
 from .errors import InvalidInputError, ParameterError, ResolutionError, RunawayError
 from .fpt import FptParams, fpt_tail_bound
-from .system import SimulationGrid, SystemSpec, simulation_grid
+from .system import SimulationGrid, SystemSpec, polar_path, simulation_grid
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,10 @@ class BrownianRecord:
     step length. The unit-normal aux draws supply the fresh partial-step
     increments consumed after each impulse.
 
-    The package draws through :func:`simulate_batch`. This class stays only
-    because the benchmark's tracer wraps `generate` and tests use it as an
-    independent draw; the ROADMAP item that mends the tracer deletes it.
+    The package draws through :func:`simulate_batch`; `generate` is the
+    one-stream use of its draw routine, :func:`_draw_block`. The class stays
+    only because the benchmark's tracer wraps `generate` and tests use it as
+    an independent draw; the ROADMAP item that mends the tracer deletes it.
     """
 
     times: np.ndarray
@@ -100,43 +101,62 @@ class BrownianRecord:
     def generate(cls, grid: SimulationGrid, seed_seq: np.random.SeedSequence,
                  n_aux: int) -> "BrownianRecord":
         """Draw a record from one stream, such as :func:`replica_seed_sequence`'s."""
-        wb, aux = np.empty((2, grid.steps.shape[0])), np.empty((2, n_aux))
-        _draw_normals(seed_seq, *wb, *aux)
-        wb *= np.sqrt(grid.steps)
-        return cls(times=grid.times, w_increments=wb[0], b_increments=wb[1],
-                   aux_w=aux[0], aux_b=aux[1])
+        w, b = np.empty((2, 1, grid.steps.shape[0]))
+        aux_w, aux_b = np.empty((2, 1, n_aux))
+        _draw_block([seed_seq], np.sqrt(grid.steps), w, b, aux_w, aux_b)
+        return cls(times=grid.times, w_increments=w[0], b_increments=b[0],
+                   aux_w=aux_w[0], aux_b=aux_b[0])
 
 
-def _draw_normals(seed_seq: np.random.SeedSequence, w: np.ndarray, b: np.ndarray,
-                  aux_w: np.ndarray, aux_b: np.ndarray) -> None:
-    """Fill `w`, then `b`, then `aux_w`, then `aux_b` with unit normals from
-    one replica's stream. This draw order is the seed convention."""
-    if not isinstance(seed_seq, np.random.SeedSequence):
-        raise ParameterError("draw records from a SeedSequence, e.g. replica_seed_sequence")
-    rng = np.random.Generator(np.random.Philox(seed_seq))
-    for out in (w, b, aux_w, aux_b):
-        rng.standard_normal(out=out)
+def _draw_block(seqs, scale: np.ndarray, w: np.ndarray, b: np.ndarray,
+                aux_w: np.ndarray, aux_b: np.ndarray) -> None:
+    """Fill row k of `w`, then `b`, then `aux_w`, then `aux_b` with unit
+    normals from the stream `seqs[k]`; this draw order is the seed convention.
+    Then scale `w` and `b` by `scale`, the square roots of the step lengths."""
+    for k, seed_seq in enumerate(seqs):
+        if not isinstance(seed_seq, np.random.SeedSequence):
+            raise ParameterError("draw records from a SeedSequence, e.g. replica_seed_sequence")
+        rng = np.random.Generator(np.random.Philox(seed_seq))
+        for out in (w[k], b[k], aux_w[k], aux_b[k]):
+            rng.standard_normal(out=out)
+    w *= scale
+    b *= scale
 
 
 _NOISE_BLOCK = 32  # replicas drawn into one reused (2, block, n_steps) buffer
 
 
-def _advance_batch(spec: SystemSpec, eps: np.ndarray, eps_ang: np.ndarray,
-                   grid: SimulationGrid, r_path: np.ndarray, th_path: np.ndarray,
-                   aux_w: np.ndarray, aux_b: np.ndarray, n_max: int):
-    """Vectorised step loop over every replica at every noise level.
+def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int,
+                   n_max: int, draw, store_increments: bool) -> BatchResult:
+    """Vectorised step loop over `m` replicas at every noise level in `levels`.
 
-    `r_path`/`th_path` are the (n_steps + 1, E*M) path arrays of M replicas at
-    E noise levels whose rows j+1 already hold the scaled noise ``eps*w[j]``
-    and ``eps^p*b[j]``; `aux_w`/`aux_b` are the (M, n_max) unit draws. Column
-    ``e*M + i`` is replica i at level e. Each step adds the drift part
-    ``r + b(r)*h`` and ``theta + h`` into row j+1 for all E*M columns; only the
-    columns whose proposed angle reaches alpha go through the impulse loop.
-    Fills the paths in place and returns the impulse data and counts.
+    Column ``e*m + i`` of the result is replica i at ``levels[e]``. Blocks of
+    at most `_NOISE_BLOCK` replicas get their noise from ``draw(start, stop,
+    w, b, aux_w, aux_b)``, which fills row k for replica ``start + k``:
+    step-scaled increments in `w` and `b`, unit draws in the n_max aux rows.
+    Each level scales the reused `w` and `b` blocks into rows j+1 of its
+    columns; each step then adds the drift part ``r + b(r)*h`` and
+    ``theta + h`` there, and only the columns whose proposed angle reaches
+    alpha go through the impulse loop.
     """
     times, steps = grid.times, grid.steps
-    n, c = steps.shape[0], r_path.shape[1]
-    m = aux_w.shape[0]
+    n, c = steps.shape[0], len(levels) * m
+    eps = np.array([lv.epsilon for lv in levels])
+    eps_ang = np.array([lv.angular_scale for lv in levels])
+    r_path = np.empty((n + 1, c))
+    th_path = np.empty_like(r_path)
+    aux_w, aux_b = np.empty((2, m, n_max))
+    w_stored = np.empty((n, m)) if store_increments else None
+    blocks = np.empty((2, _NOISE_BLOCK, n))
+    for start in range(0, m, _NOISE_BLOCK):
+        stop = min(start + _NOISE_BLOCK, m)
+        w, b = blocks[:, : stop - start]
+        draw(start, stop, w, b, aux_w[start:stop], aux_b[start:stop])
+        for e in range(len(levels)):
+            np.multiply(w.T, eps[e], out=r_path[1:, e * m + start: e * m + stop])
+            np.multiply(b.T, eps_ang[e], out=th_path[1:, e * m + start: e * m + stop])
+        if w_stored is not None:
+            w_stored[:, start:stop] = w.T
     eps_col, eps_ang_col = np.repeat(eps, m), np.repeat(eps_ang, m)
     alpha = grid.alpha
     drift, reset = spec.drift, spec.reset
@@ -197,7 +217,8 @@ def _advance_batch(spec: SystemSpec, eps: np.ndarray, eps_ang: np.ndarray,
             idx, rem = idx[cross], rem[cross]
             r_state, th_state = r_state[cross], th_state[cross]
             r_prop, th_prop = r_prop[cross], th_prop[cross]
-    return tau, pre, post, counts
+    return BatchResult(grid=grid, r_values=r_path, theta_values=th_path, tau=tau, pre=pre,
+                       post=post, counts=counts, levels=levels, w_increments=w_stored)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,11 +253,8 @@ class BatchResult:
 
     def path(self, i: int) -> CadlagPath:
         c = int(self.counts[i])
-        values = np.stack([self.r_values[:, i], self.theta_values[:, i]], axis=1)
-        pre_states = np.stack([self.pre[i, :c], np.full(c, self.grid.alpha)], axis=1)
-        post_states = np.stack([self.post[i, :c], np.zeros(c)], axis=1)
-        return assemble_from_grid(self.grid.horizon, self.grid.times, values,
-                                  self.tau[i, :c], pre_states, post_states)
+        return polar_path(self.grid, self.r_values[:, i], self.theta_values[:, i],
+                          self.tau[i, :c], self.pre[i, :c], self.post[i, :c])
 
 
 def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float, dt: float,
@@ -245,10 +263,10 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     """Simulate replicas `replica_offset .. replica_offset + n_replicas - 1`.
 
     `noise` is one :class:`NoiseParams` or a tuple of noise levels, which
-    the result records as its `levels`. Each replica's record is drawn once
-    and drives it at every level, so column ``e*n_replicas + i`` of the
-    result is replica ``replica_offset + i`` at ``levels[e]``, and the stored
-    radial increments are (n_steps, n_replicas).
+    the result records as its `levels`. Replica i draws once, from
+    ``replica_seed_sequence(master_seed, replica_offset + i)``, and that draw
+    drives it at every level: column ``e*n_replicas + i`` of the result is it
+    at ``levels[e]``, and the stored radial increments are (n_steps, n_replicas).
     Results are a pure function of (spec, level, horizon, dt, master_seed,
     replica index); chunk boundaries and the other levels do not affect them.
     `n_max` caps a replica's impulses; by default it is ten times the
@@ -263,30 +281,13 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
         raise ResolutionError("stochastic step size must not exceed alpha/200")
     grid = simulation_grid(spec.alpha, horizon, dt)
     n_max = 10 * int(math.ceil(horizon / spec.alpha)) if n_max is None else _count(n_max, "n_max")
-    n, m = grid.steps.shape[0], n_replicas
-    eps = np.array([lv.epsilon for lv in levels])
-    eps_ang = np.array([lv.angular_scale for lv in levels])
-    r_path = np.empty((n + 1, eps.shape[0] * m))
-    th_path = np.empty_like(r_path)
-    aux_w, aux_b = np.empty((2, m, n_max))
-    w_stored = np.empty((n, m)) if store_increments else None
-    scale, blocks = np.sqrt(grid.steps), np.empty((2, _NOISE_BLOCK, n))
-    for start in range(0, m, _NOISE_BLOCK):
-        stop = min(start + _NOISE_BLOCK, m)
-        w, b = draws = blocks[:, : stop - start]
-        for k, i in enumerate(range(start, stop)):
-            _draw_normals(replica_seed_sequence(master_seed, replica_offset + i),
-                          w[k], b[k], aux_w[i], aux_b[i])
-        draws *= scale
-        for e in range(eps.shape[0]):
-            np.multiply(w.T, eps[e], out=r_path[1:, e * m + start: e * m + stop])
-            np.multiply(b.T, eps_ang[e], out=th_path[1:, e * m + start: e * m + stop])
-        if w_stored is not None:
-            w_stored[:, start:stop] = w.T
-    tau, pre, post, counts = _advance_batch(spec, eps, eps_ang, grid, r_path, th_path,
-                                            aux_w, aux_b, n_max)
-    return BatchResult(grid=grid, r_values=r_path, theta_values=th_path, tau=tau, pre=pre,
-                       post=post, counts=counts, levels=levels, w_increments=w_stored)
+    scale = np.sqrt(grid.steps)
+
+    def replica_streams(start, stop, *blocks):
+        _draw_block([replica_seed_sequence(master_seed, replica_offset + i)
+                     for i in range(start, stop)], scale, *blocks)
+    return _advance_batch(spec, levels, grid, n_replicas, n_max, replica_streams,
+                          store_increments)
 
 
 @dataclass(frozen=True)
@@ -294,18 +295,14 @@ class GoodSetRecord:
     """Outcome of the impulse-alignment test for one replica."""
 
     is_good: bool
-    deviations: np.ndarray
 
 
 def classify_good_set(times: np.ndarray, alpha: float, n_expected: int,
                       delta: float) -> GoodSetRecord:
     """Good means exactly n_expected impulse `times`, each within delta of k*alpha."""
     times = np.asarray(times, dtype=float)
-    is_good = bool(good_set_mask(times[None, :], np.array([times.shape[0]]), alpha,
-                                 n_expected, delta)[0])
-    upto = min(times.shape[0], n_expected)
-    deviations = np.abs(times[:upto] - alpha * np.arange(1, upto + 1))
-    return GoodSetRecord(is_good=is_good, deviations=deviations)
+    return GoodSetRecord(is_good=bool(good_set_mask(times[None, :], np.array([times.shape[0]]),
+                                                    alpha, n_expected, delta)[0]))
 
 
 def good_set_mask(tau: np.ndarray, counts: np.ndarray, alpha: float, n_expected: int,
@@ -313,15 +310,17 @@ def good_set_mask(tau: np.ndarray, counts: np.ndarray, alpha: float, n_expected:
     """:func:`classify_good_set` for a batch: `tau` is (M, n_max), valid up to
     `counts`, as in :class:`BatchResult`, and `delta` one threshold or an (M,)
     array of them, one per row. Returns the (M,) good flags."""
-    tau = np.asarray(tau, dtype=float)
+    tau, counts = np.asarray(tau, dtype=float), np.asarray(counts)
     delta = np.reshape(np.asarray(delta, dtype=float), (-1, 1))
+    if counts.shape != tau.shape[:1]:
+        raise ParameterError(f"counts needs {tau.shape[0]} entries, got shape {counts.shape}")
     if delta.shape[0] not in (1, tau.shape[0]):
         raise ParameterError(f"delta needs 1 or {tau.shape[0]} entries, got {delta.shape[0]}")
     if not np.all((0.0 < delta) & (delta < alpha / 4.0)):
         raise ParameterError("delta must lie in (0, alpha/4)")
     lead = tau[:, :_count(n_expected, "n_expected")]
     deviations = np.abs(lead - alpha * np.arange(1, lead.shape[1] + 1))
-    return (np.asarray(counts) == n_expected) & np.all(deviations <= delta, axis=1)
+    return (counts == n_expected) & np.all(deviations <= delta, axis=1)
 
 
 def good_set_probability_bound(horizon_index: int, alpha: float, epsilon: float,

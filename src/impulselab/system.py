@@ -310,14 +310,19 @@ def integrate_deterministic(spec: SystemSpec, grid: SimulationGrid) -> Determini
                                  pre_radii=np.asarray(pre), post_radii=np.asarray(post))
 
 
+def polar_path(grid, r_values, theta_values, jump_times, pre_radii, post_radii) -> CadlagPath:
+    """(r, theta) samples on `grid` as a path whose angle reaches alpha before
+    each of `jump_times` and restarts from 0 after it."""
+    k = jump_times.shape[0]
+    values = np.stack([r_values, theta_values], axis=1)
+    pre_states = np.stack([pre_radii, np.full(k, grid.alpha)], axis=1)
+    post_states = np.stack([post_radii, np.zeros(k)], axis=1)
+    return assemble_from_grid(grid.horizon, grid.times, values, jump_times, pre_states, post_states)
+
+
 def solution_to_path(sol: DeterministicSolution) -> CadlagPath:
-    grid = sol.grid
-    values = np.stack([sol.r_values, sol.theta_values], axis=1)
-    k = grid.n_impulses
-    pre_states = np.stack([sol.pre_radii, np.full(k, grid.alpha)], axis=1)
-    post_states = np.stack([sol.post_radii, np.zeros(k)], axis=1)
-    return assemble_from_grid(grid.horizon, grid.times, values,
-                              grid.impulse_times(), pre_states, post_states)
+    return polar_path(sol.grid, sol.r_values, sol.theta_values, sol.grid.impulse_times(),
+                      sol.pre_radii, sol.post_radii)
 
 
 def deterministic_trajectory(spec: SystemSpec, horizon: float, dt: float) -> CadlagPath:

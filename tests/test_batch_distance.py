@@ -89,6 +89,32 @@ def test_simulated_examples_reach_impulse_counts_other_than_n():
     assert {1, 3} <= seen
 
 
+def test_kernel_matches_oracle_on_a_simulated_impulse_at_a_grid_time():
+    """A draw source no seed produces: one angular increment brings the angle
+    to alpha exactly at the end of a step (frac = 1, no time left), so the
+    step loop puts the impulse on a grid time and the kernel scores it there."""
+    spec = SystemSpec.from_models(constant_drift(0.2), linear_reset(0.5), alpha=1.0, r0=1.0)
+    grid = simulation_grid(1.0, 2.5, 1 / 256)  # dyadic, so every grid time is exact
+    level = NoiseParams(epsilon=0.5, p=2.0)  # angular scale 0.25, exact
+
+    def source(start, stop, w, b, aux_w, aux_b):
+        for block in (w, b, aux_w, aux_b):
+            block[:] = 0.0
+        w[:, ::7] = 1 / 64
+        b[:, 199] = 0.875  # 199/256 + 1/256 + 0.25 * 0.875 = 1
+
+    batch = stochastic._advance_batch(spec, (level,), grid, 1, 8, source, True)
+    assert batch.tau[0, 0] == grid.times[200] == 0.78125
+    assert batch.counts[0] == 2
+    good = good_set_mask(batch.tau, batch.counts, 1.0, grid.n_impulses, 0.24)
+    assert good[0]
+    det = integrate_deterministic(spec, grid)
+    trace = fluctuation_trace(spec, det, batch.w_increments)
+    cost, sup = batch_skorohod_upper(det, batch, good, trace)
+    want = oracle(det, batch, good, trace, level.epsilon)
+    np.testing.assert_array_equal(np.maximum(cost, sup), np.array(want), strict=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), first=st.integers(8, 12), on_grid=st.integers(1, 25),
        inside=st.integers(0, 24), fractions=st.lists(st.floats(0.01, 0.99), min_size=3,

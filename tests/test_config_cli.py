@@ -384,6 +384,8 @@ class TestCliCommands:
             (good[:2], "not a path CSV: no sample after line 2"),
             (["jump_times,0.25"] + good[1:],
              "path CSV line 1: jump times do not match the segment starts"),
+            (["jump_times"] + good[1:],
+             "path CSV line 1: jump times do not match the segment starts"),
             (good[:3] + ["0,0.5,nan"] + good[4:], "not a path CSV: path samples must be finite"),
         ]
         path, bad, out = tmp_path / "p.csv", tmp_path / "bad.csv", tmp_path / "d.json"

@@ -268,13 +268,13 @@ class TestSharedNoiseDriver:
     @pytest.mark.parametrize("driver", [lln_experiment, clt_experiment])
     def test_noise_drawn_once_per_replica_and_traced_once_per_chunk(self, halving_spec,
                                                                     monkeypatch, driver):
-        calls = {"draws": 0, "trace": 0, "batch_columns": []}
-        draw, trace, simulate = (stochastic._draw_normals, experiments.fluctuation_trace,
+        calls = {"streams": 0, "trace": 0, "batch_columns": []}
+        draw, trace, simulate = (stochastic._draw_block, experiments.fluctuation_trace,
                                  experiments.simulate_batch)
 
-        def counting_draw(*args, **kwargs):
-            calls["draws"] += 1
-            return draw(*args, **kwargs)
+        def counting_draw(seqs, *args):
+            calls["streams"] += len(seqs)
+            return draw(seqs, *args)
 
         def counting_trace(*args, **kwargs):
             calls["trace"] += 1
@@ -285,12 +285,12 @@ class TestSharedNoiseDriver:
             calls["batch_columns"].append(len(batch))
             return batch
 
-        monkeypatch.setattr(stochastic, "_draw_normals", counting_draw)
+        monkeypatch.setattr(stochastic, "_draw_block", counting_draw)
         monkeypatch.setattr(experiments, "fluctuation_trace", counting_trace)
         monkeypatch.setattr(experiments, "simulate_batch", recording_simulate)
         # chunk_size 10 over 4 levels: chunks of 2 replicas, the last one of 1
         config = small_config(eps_grid=self.GRID, replicas=5, chunk_size=10)
         driver(config, halving_spec)
-        assert calls["draws"] == 5
+        assert calls["streams"] == 5
         assert calls["batch_columns"] == [8, 8, 4]
         assert calls["trace"] == (3 if driver is clt_experiment else 0)

@@ -171,3 +171,52 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def drawing_functions(source: str) -> list[str]:
+    """Functions that build a `Philox` generator or call `standard_normal`,
+    by their innermost enclosing function, in order of appearance; a draw
+    outside any function counts as `<module>`."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("Philox", "standard_normal") and owner not in found:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_drawing_functions_finds_every_draw():
+    source = ("import numpy as np\n"
+              "from numpy.random import Philox\n"
+              "def _seeded(seq):\n"
+              "    return np.random.Generator(Philox(seq))\n"
+              "def _quiet():\n"
+              "    return np.zeros(3)\n"
+              "class Record:\n"
+              "    def noise(self, rng):\n"
+              "        def fill(out):\n"
+              "            rng.standard_normal(out=out)\n"
+              "        return fill\n"
+              "NOISE = np.random.default_rng(0).standard_normal(4)\n")
+    assert drawing_functions(source) == ["_seeded", "fill", "<module>"]
+
+
+def test_the_seed_convention_draws_in_one_function():
+    """Every draw goes through stochastic._draw_block, so a new noise source
+    for the step loop cannot bypass the convention's stream order."""
+    found = {}
+    for path in sorted(ROOT.glob("src/impulselab/**/*.py")):
+        names = drawing_functions(path.read_text(encoding="utf-8"))
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {"src/impulselab/stochastic.py": ["_draw_block"]}

@@ -182,6 +182,9 @@ def test_good_set_mask_refuses_a_bad_count_or_delta_length(level_batch):
     for deltas in (np.full(2, 0.01), np.full(len(batch) + 1, 0.01)):
         with pytest.raises(ParameterError, match="delta needs"):
             good_set_mask(batch.tau, batch.counts, spec.alpha, n, deltas)
+    for counts in (batch.counts[1:], np.append(batch.counts, n), batch.counts[:, None]):
+        with pytest.raises(ParameterError, match="counts needs"):
+            good_set_mask(batch.tau, counts, spec.alpha, n, 0.01)
 
 
 def test_columns_must_split_over_the_levels(level_batch):

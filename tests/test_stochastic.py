@@ -363,7 +363,6 @@ class TestClassifyGoodSet:
     def test_within_threshold(self):
         record = classify_good_set(np.array([1.02, 2.03]), alpha=1.0, n_expected=2, delta=0.05)
         assert record.is_good
-        np.testing.assert_allclose(record.deviations, [0.02, 0.03], atol=1e-12)
 
     def test_one_deviation_too_large(self):
         times = np.array([1.02, 2.06])
