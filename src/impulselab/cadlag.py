@@ -332,7 +332,6 @@ class _Grid:
         # after[k - 1][b]: the k-th grid point after lo[b], or +inf.
         self.after = [padded[self.lo + k + 1] for k in range(1, rounds + 1)]
         self.knots = np.concatenate([[0.0], times[jump_index], [times[-1]]])
-        self.knot_index = np.concatenate([[0], jump_index, [n - 1]])
         self.jump_index = jump_index
         self.jump_order = np.full(n, -1)
         self.jump_order[jump_index] = np.arange(jump_index.shape[0])
@@ -420,18 +419,6 @@ class _ReplicaBlock:
         """lambda(t) row by row."""
         return self._map(t, self.kt, self.kv, self.forward)
 
-    def lam_grid(self):
-        """lambda on the grid, one knot interval of grid points at a time."""
-        grid = self.grid
-        u = np.empty((self.good.shape[0], grid.times.shape[0]))
-        bounds = grid.knot_index
-        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            np.multiply(self.forward[:, k:k + 1], grid.times[a:b] - grid.knots[k], out=u[:, a:b])
-            u[:, a:b] += self.kv[:, k:k + 1]
-        u[:, -1] = self.kv[:, -1]
-        np.copyto(u, grid.times, where=~self.good[:, None])
-        return u
-
     def lam_inv(self, s):
         """lambda^{-1}(s) row by row."""
         return self._map(s, self.kv, self.kt, self.backward)
@@ -447,8 +434,6 @@ class _ReplicaBlock:
         r = r_slope.take(flat) * du + r0.take(flat)
         th = th_slope.take(flat) * du + th0.take(flat)
         fix = np.flatnonzero(self.flag.take(flat))
-        if fix.size == 0:
-            return r, th, fix, np.empty(0)
         # Queries in a step that holds a jump: interpolate between the knots
         # of the segment they fall in, as CadlagPath does.
         row = fix // u.shape[1]
@@ -494,9 +479,10 @@ class _ReplicaBlock:
         return r1, th1, on_grid[order >= 0], order[order >= 0]
 
     def scan(self, t, firsts, sup2):
-        """Fold sup |x1(t) - x2(lambda(t))|^2 over one (rows, k) query array
-        into the rows of `sup2`, one per first path (grid step starts, slopes
-        and pre-jump radii, by row). t=None means the grid itself."""
+        """Fold sup |x1(t) - x2(lambda(t))|^2 over one query set into the
+        rows of `sup2`, one per first path (grid step starts, slopes and
+        pre-jump radii, by row). The kernel's two sets are the grid itself,
+        t=None, and a (rows, k) array of lambda^-1(grid ∪ tau)."""
         grid = self.grid
         if t is None:
             t = grid.times
@@ -505,19 +491,15 @@ class _ReplicaBlock:
             th1 = np.broadcast_to(grid.theta[0], (self.good.shape[0], width))
             jumps1 = (self.offsets + grid.jump_index).ravel()
             order1 = np.tile(grid.jump_order[grid.jump_index], self.good.shape[0])
-            u = self.lam_grid()
         else:
             width = t.shape[1]
             r1, th1, jumps1, order1 = self.first_at(t, firsts)
-            u = self.lam(t)
-        r2, th2, jumps2, pre2 = self.noisy_at(u)
+        r2, th2, jumps2, pre2 = self.noisy_at(self.lam(t))
         dth = th1 - th2
         dth2 = dth * dth
         for s2, r in zip(sup2, r1):
             dr = r - r2
             np.maximum(s2, np.max(dr * dr + dth2, axis=1), out=s2)
-        if jumps1.size == 0 and jumps2.size == 0:
-            return
         # Left limits differ from right values only at jump points.
         points = np.union1d(jumps1, jumps2)
         row = points // width
@@ -555,8 +537,9 @@ def batch_skorohod_upper(det, batch, good, trace=None):
     ``trace = (values, pre, post)`` is the output of ``fluctuation_trace``
     for the M replicas. ``np.maximum(cost, sup[f])`` equals ``skorohod_upper``
     on the corresponding path objects, because the sup runs over the same
-    points, grid ∪ λ⁻¹(grid ∪ tau) ∪ knots, with right values everywhere and
-    left limits at the jump points.
+    points, with right values everywhere and left limits at the jump points.
+    Each block of columns is scored over two query sets: the grid, which holds
+    the knots, then λ⁻¹ of the noisy path's breakpoints, grid ∪ tau.
     """
     times = det.grid.times
     if not np.array_equal(batch.grid.times, times):
@@ -587,12 +570,13 @@ def batch_skorohod_upper(det, batch, good, trace=None):
         firsts = [[np.broadcast_to(a, (rows.stop - lo, a.shape[0])) for a in grid.det]]
         if trace is not None:
             firsts.append(grid.first_order(trace, levels, np.arange(lo, rows.stop), per_level))
-        # grid, lambda^-1(grid), lambda^-1(tau); unused impulse slots query t = 0.
+        # Unused impulse slots query t = 0.
         valid = np.arange(block.tau.shape[1]) < block.counts[:, None]
         sup2 = sup[:, rows]
         block.scan(None, firsts, sup2)
-        block.scan(block.lam_inv(times), firsts, sup2)
-        block.scan(block.lam_inv(np.where(valid, block.tau, 0.0)), firsts, sup2)
+        block.scan(block.lam_inv(np.concatenate(
+            [np.broadcast_to(times, (valid.shape[0], n_points)), np.where(valid, block.tau, 0.0)],
+            axis=1)), firsts, sup2)
         cost[rows] = block.cost
     return cost, np.sqrt(sup, out=sup)
 

@@ -150,10 +150,13 @@ def renewal_mgf_bound(gamma: float, alpha: float, epsilon: float, p: float,
         denom = 2.0 * alpha * lam - gamma * root
         if denom <= 0.0:
             continue
-        if math.exp(gamma) * fpt_laplace(params, lam) >= 1.0:
-            continue
-        kappa = 1.0 + root / denom
-        best = min(best, kappa * math.exp(lam * t))
+        try:
+            if math.exp(gamma) * fpt_laplace(params, lam) >= 1.0:
+                continue
+            bound = (1.0 + root / denom) * math.exp(lam * t)
+        except OverflowError:
+            continue  # an infinite candidate is never the minimum
+        best = min(best, bound)
     if not math.isfinite(best):
         raise BoundSearchError("no admissible exponential-moment multiplier found")
     return best

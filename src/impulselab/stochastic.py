@@ -100,7 +100,10 @@ class BrownianRecord:
     @classmethod
     def generate(cls, grid: SimulationGrid, seed_seq: np.random.SeedSequence,
                  n_aux: int) -> "BrownianRecord":
-        """Draw a record from one stream, such as :func:`replica_seed_sequence`'s."""
+        """Draw a record from one stream, such as :func:`replica_seed_sequence`'s.
+        `n_aux` is :func:`simulate_batch`'s `n_max`: the angular aux draws
+        follow `n_aux` radial ones, so a record holds its replica's bits only
+        at the batch's `n_max`."""
         w, b = np.empty((2, 1, grid.steps.shape[0]))
         aux_w, aux_b = np.empty((2, 1, n_aux))
         _draw_block([seed_seq], np.sqrt(grid.steps), w, b, aux_w, aux_b)
@@ -268,9 +271,11 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     drives it at every level: column ``e*n_replicas + i`` of the result is it
     at ``levels[e]``, and the stored radial increments are (n_steps, n_replicas).
     Results are a pure function of (spec, level, horizon, dt, master_seed,
-    replica index); chunk boundaries and the other levels do not affect them.
-    `n_max` caps a replica's impulses; by default it is ten times the
-    noiseless count.
+    replica index, n_max); chunk boundaries and the other levels do not
+    affect them. `n_max` caps a replica's impulses; by default it is ten
+    times the noiseless count. It is part of the seed convention: the angular
+    post-impulse draws follow `n_max` radial ones, so another `n_max` changes
+    a replica's path from the step of its first impulse on.
     """
     levels = (noise,) if isinstance(noise, NoiseParams) else tuple(noise)
     if not levels:

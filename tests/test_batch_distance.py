@@ -115,6 +115,30 @@ def test_kernel_matches_oracle_on_a_simulated_impulse_at_a_grid_time():
     np.testing.assert_array_equal(np.maximum(cost, sup), np.array(want), strict=True)
 
 
+def test_kernel_matches_oracle_on_a_simulated_path_without_impulses():
+    """A draw source that turns the angle back every step, so it never
+    reaches alpha: the noisy path has no jump and no query falls in a step
+    that holds one, while the deterministic path still jumps twice."""
+    spec = SystemSpec.from_models(constant_drift(0.2), linear_reset(0.5), alpha=1.0, r0=1.0)
+    grid = simulation_grid(1.0, 2.5, 1 / 256)
+    level = NoiseParams(epsilon=0.5, p=2.0)
+
+    def source(start, stop, w, b, aux_w, aux_b):
+        for block in (w, aux_w, aux_b):
+            block[:] = 0.0
+        w[:, ::7] = 1 / 64
+        b[:] = -1 / 32  # 1/256 - 0.25/32 < 0 per step
+
+    batch = stochastic._advance_batch(spec, (level,), grid, 1, 8, source, True)
+    assert batch.counts.tolist() == [0]
+    good = np.array([False])
+    det = integrate_deterministic(spec, grid)
+    trace = fluctuation_trace(spec, det, batch.w_increments)
+    cost, sup = batch_skorohod_upper(det, batch, good, trace)
+    want = oracle(det, batch, good, trace, level.epsilon)
+    np.testing.assert_array_equal(np.maximum(cost, sup), np.array(want), strict=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), first=st.integers(8, 12), on_grid=st.integers(1, 25),
        inside=st.integers(0, 24), fractions=st.lists(st.floats(0.01, 0.99), min_size=3,

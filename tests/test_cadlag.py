@@ -75,6 +75,8 @@ class TestCadlagPath:
         path = step_path(0.4, 1.0)
         assert path.value_at(0.4, side="left")[0] == 0.0
         assert path.value_at(0.4, side="right")[0] == 1.0
+        with pytest.raises(ParameterError):
+            path.values_at([0.4], side="middle")
 
     def test_segments_must_tile_interval(self):
         with pytest.raises(ShapeError):
@@ -101,6 +103,24 @@ class TestCadlagPath:
         assert path.value_at(0.5)[0] == pytest.approx(1.0)
         assert path.value_at(1.5)[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("horizon, segments, message", [
+        (0.0, [([0.0, 1.0], [0.0, 0.0])], "horizon must be a positive real"),
+        (-1.0, [([0.0, 1.0], [0.0, 0.0])], "horizon must be a positive real"),
+        (1.0, [([0.0, 0.5, 1.0], [0.0, 0.0])], "disagree in length"),
+        (1.0, [([0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0])], "strictly increasing"),
+        (1.0, [], "at least one segment"),
+        (1.0, [([0.0, 0.5], [[0.0], [0.0]]), ([0.5, 1.0], [[1.0, 1.0], [1.0, 1.0]])],
+         "state dimension"),
+        (1.0, [([0.0, 0.5], [0.0, 0.0]), ([0.5], [1.0]), ([0.5, 1.0], [2.0, 2.0])],
+         "only the terminal segment"),
+        (2.0, [([0.0, 1.0], [0.0, 0.0])], "end at the horizon"),
+    ], ids=["zero horizon", "negative horizon", "lengths", "order", "no segments",
+            "dimensions", "inner point segment", "short of horizon"])
+    def test_malformed_segments_rejected(self, horizon, segments, message):
+        segments = [(np.array(t), np.array(v)) for t, v in segments]
+        with pytest.raises(ShapeError, match=message):
+            CadlagPath(horizon, segments)
+
 
 class TestTimeDistortion:
     def test_identity_has_zero_cost(self):
@@ -126,6 +146,8 @@ class TestTimeDistortion:
             TimeDistortion(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, 1.0]))
 
     def test_must_fix_endpoints(self):
+        with pytest.raises(InvalidDistortionError, match=">= 2 knots"):
+            TimeDistortion(np.array([0.0]), np.array([0.0]), horizon=1.0)
         with pytest.raises(InvalidDistortionError):
             TimeDistortion(np.array([0.0, 1.0]), np.array([0.1, 1.0]))
         with pytest.raises(InvalidDistortionError):
@@ -169,6 +191,9 @@ class TestSkorohodUpper:
         with pytest.raises(ShapeError):
             skorohod_upper(constant_path(0.0, 1.0), constant_path(0.0, 2.0),
                            TimeDistortion.identity(1.0))
+        with pytest.raises(ShapeError, match="distortion horizon"):
+            skorohod_upper(constant_path(0.0, 1.0), constant_path(0.0, 1.0),
+                           TimeDistortion.identity(2.0))
 
     def test_mismatched_dimension_rejected(self):
         with pytest.raises(ShapeError):
@@ -275,6 +300,9 @@ class TestAligningDistortion:
     def test_exact_times_give_identity(self):
         lam = build_aligning_distortion([1.0, 2.0], [1.0, 2.0], 2.5, good=True)
         assert distortion_cost(lam) == 0.0
+        lam = build_aligning_distortion([], [], 2.5, good=True)
+        np.testing.assert_array_equal(lam.knot_times, [0.0, 2.5])
+        np.testing.assert_array_equal(lam.knot_values, [0.0, 2.5])
 
     def test_bad_flag_forces_identity(self):
         lam = build_aligning_distortion([1.0, 2.0], [0.2, 9.0], 2.5, good=False)
@@ -287,6 +315,10 @@ class TestAligningDistortion:
             build_aligning_distortion([1.0, 2.0], [1.0, 2.6], 2.5, good=True)
         with pytest.raises(InvalidInputError):
             build_aligning_distortion([1.0, 2.0], [1.0], 2.5, good=True)
+        with pytest.raises(InvalidInputError, match="must be positive"):
+            build_aligning_distortion([0.0, 1.0], [0.1, 1.0], 2.5, good=True)
+        with pytest.raises(InvalidInputError, match="must be k\\*alpha"):
+            build_aligning_distortion([1.0, 2.5], [1.0, 2.4], 2.8, good=True)
 
     def test_large_deviations_rejected(self):
         with pytest.raises(InvalidInputError):

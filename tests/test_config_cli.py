@@ -387,6 +387,8 @@ class TestCliCommands:
             (["jump_times"] + good[1:],
              "path CSV line 1: jump times do not match the segment starts"),
             (good[:3] + ["0,0.5,nan"] + good[4:], "not a path CSV: path samples must be finite"),
+            (good[:1] + ["t,value_1"] + good[2:],
+             "not a path CSV: lines 1-2 are not its two headers"),
         ]
         path, bad, out = tmp_path / "p.csv", tmp_path / "bad.csv", tmp_path / "d.json"
         path.write_text("\n".join(good) + "\n")

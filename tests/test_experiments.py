@@ -14,6 +14,8 @@ from impulselab import (
     ExperimentConfig,
     FptParams,
     NoiseParams,
+    ParameterError,
+    SystemSpec,
     clt_experiment,
     fit_rate,
     fpt_cdf,
@@ -21,8 +23,10 @@ from impulselab import (
     integrate_deterministic,
     ks_test,
     lln_experiment,
+    saturating_reset,
     simulate_batch,
     simulation_grid,
+    tanh_drift,
 )
 from impulselab.cadlag import batch_skorohod_upper
 from impulselab.experiments import EpsilonRow
@@ -154,6 +158,8 @@ class TestKsTest:
     def test_needs_hundred_samples(self):
         with pytest.raises(DataError):
             ks_test(np.ones(50), lambda c: np.clip(c, 0.0, 1.0))
+        with pytest.raises(ParameterError):
+            ks_test(np.linspace(0.0, 1.0, 100), lambda c: np.clip(c, 0.0, 1.0), level=1.5)
 
 
 class TestLlnExperiment:
@@ -203,8 +209,17 @@ class TestCltExperiment:
         baseline = lln_experiment(config, halving_spec)
         assert clt_experiment(config, halving_spec).baseline_rows == baseline.rows
 
-    def test_refinement_beats_baseline_per_epsilon(self, halving_spec):
-        report = clt_experiment(small_config(), halving_spec)
+    # The curved system is the one whose reset is nonlinear, so its
+    # first-order path runs the reset's derivative.
+    @pytest.mark.parametrize("models, overrides", [
+        (None, {}),
+        ((tanh_drift(0.5), saturating_reset(1.5)),
+         dict(eps_grid=(0.02, 0.05, 0.1), replicas=100, dt=2e-3)),
+    ], ids=["acceptance", "curved"])
+    def test_refinement_beats_baseline_per_epsilon(self, halving_spec, models, overrides):
+        spec = halving_spec if models is None else SystemSpec.from_models(*models, alpha=ALPHA,
+                                                                          r0=1.0)
+        report = clt_experiment(small_config(**overrides), spec)
         for refined, base in zip(report.rows, report.baseline_rows):
             allowance = 2.0 * math.hypot(refined.stderr, base.stderr)
             assert refined.mean_distance <= base.mean_distance + allowance

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from impulselab import (
+    BoundSearchError,
     DomainError,
     FptParams,
     ParameterError,
@@ -127,6 +128,8 @@ class TestTailBound:
             math.sqrt(1 / (2 * math.pi)) + math.sqrt(1 / math.pi) + 1 / math.sqrt(8 * math.pi)
         )
         assert derived_tail_constant(1.0) == pytest.approx(1.16260, abs=1e-5)
+        with pytest.raises(ParameterError):
+            derived_tail_constant(0.0)
 
     def test_example_bound_dominates_exact(self):
         params = FptParams(alpha=1.0, eps_p=0.05)
@@ -197,6 +200,18 @@ class TestRenewalBound:
     def test_dominates_unit_moment(self):
         eps = 0.01 ** 0.25
         assert renewal_mgf_bound(1e-6, 1.0, eps, 2.0, 4.0) >= 1.0
+
+    @pytest.mark.parametrize("gamma, want", [(12.0, 1.424511662570356e38),
+                                             (15.0, 2.2062442959851622e57),
+                                             (20.0, 1.655165878215092e98)])
+    def test_overflowing_candidates_are_skipped(self, gamma, want):
+        # Past gamma = 12 the largest multipliers overflow exp(lam * t); the
+        # smaller admissible ones still give the bound.
+        assert renewal_mgf_bound(gamma, 1.0, 0.5, 2.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+    def test_no_finite_candidate_is_a_search_error(self):
+        with pytest.raises(BoundSearchError):
+            renewal_mgf_bound(50.0, 1.0, 0.5, 2.0, 1.0)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ParameterError):

@@ -83,7 +83,8 @@ def unused_private_definitions(source: str) -> list[str]:
     """Private names a module defines and never reads, in order of definition.
 
     Covers module-level functions, classes and assignments whose names start
-    with one underscore, and such methods of the module's classes. A function
+    with one underscore, such methods of the module's classes, and every
+    method but the dunders of a class whose name starts with one. A function
     or class counts as read where its name is loaded; a method where an
     attribute of that name is loaded.
     """
@@ -92,19 +93,22 @@ def unused_private_definitions(source: str) -> list[str]:
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     attributes = {node.attr for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
     defined = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.append((node.name, names))
+            defined.append((node.name, names, private(node.name)))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined += [(name.id, names) for target in targets for name in ast.walk(target)
-                        if isinstance(name, ast.Name)]
+            defined += [(name.id, names, private(name.id)) for target in targets
+                        for name in ast.walk(target) if isinstance(name, ast.Name)]
         if isinstance(node, ast.ClassDef):
-            defined += [(item.name, attributes) for item in node.body
-                        if isinstance(item, ast.FunctionDef)]
-    return [name for name, read in defined
-            if name.startswith("_") and not name.startswith("__") and name not in read]
+            defined += [(item.name, attributes, private(item.name) or (
+                            private(node.name) and not item.name.startswith("__")))
+                        for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [name for name, read, checked in defined if checked and name not in read]
 
 
 def test_unused_private_definitions_finds_what_is_never_read():
@@ -121,8 +125,17 @@ def test_unused_private_definitions_finds_what_is_never_read():
               "    def _load(self):\n"
               "        return []\n"
               "    def _stale(self):\n"
-              "        return _Table\n")
-    assert unused_private_definitions(source) == ["_UNUSED", "_orphan", "_stale"]
+              "        return _Table\n"
+              "    def rows(self):\n"
+              "        return self._rows\n"
+              "    def reload(self):\n"
+              "        return self.rows()\n"
+              "class Table:\n"
+              "    def reload(self):\n"
+              "        return []\n")
+    # A private class's public-named methods are private too; a public
+    # class's are not.
+    assert unused_private_definitions(source) == ["_UNUSED", "_orphan", "_stale", "reload"]
 
 
 def test_no_unused_private_definitions_in_src():

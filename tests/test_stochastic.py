@@ -128,6 +128,26 @@ class TestReproducibility:
             np.testing.assert_array_equal(whole.theta_values[:, lo:hi], part.theta_values)
             assert np.array_equal(whole.tau[lo:hi], part.tau, equal_nan=True)
 
+    def test_n_max_moves_nothing_before_the_first_impulse(self, halving_spec, noise):
+        # n_max is part of the seed convention: the angular aux draws follow
+        # n_max radial ones. The step increments, the first impulse and the
+        # path up to the step that holds it do not depend on it.
+        run = dict(horizon=4.0, dt=ALPHA / 400, master_seed=0, n_replicas=50,
+                   store_increments=True)
+        a = simulate_batch(halving_spec, noise, **run)
+        b = simulate_batch(halving_spec, noise, n_max=35, **run)
+        assert a.tau.shape[1] == 30
+        np.testing.assert_array_equal(a.w_increments, b.w_increments, strict=True)
+        for name in ("tau", "pre", "post"):
+            np.testing.assert_array_equal(getattr(a, name)[:, 0], getattr(b, name)[:, 0],
+                                          strict=True)
+        # Rows 0..j, where the step (t_j, t_j+1] holds the first impulse.
+        before = np.arange(a.grid.times.shape[0])[:, None] < np.searchsorted(a.grid.times,
+                                                                             a.tau[:, 0])
+        for name in ("r_values", "theta_values"):
+            np.testing.assert_array_equal(getattr(a, name)[before], getattr(b, name)[before])
+        assert not np.array_equal(a.theta_values, b.theta_values)
+
     def test_batch_is_pinned(self, halving_spec):
         # Seeded outputs are a contract: this digest of every array of one
         # four-level batch moves only with a declared change of seeded numbers.
@@ -184,6 +204,12 @@ class TestReproducibility:
             simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400, master_seed=0,
                            **counts)
         assert info.value.field == field
+
+    def test_batch_needs_a_replica(self, halving_spec, noise):
+        with pytest.raises(ParameterError) as info:
+            simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400, master_seed=0,
+                           n_replicas=0)
+        assert info.value.field == "n_replicas"
 
     def test_record_needs_a_seed_sequence(self):
         grid = simulation_grid(ALPHA, 4.0, ALPHA / 400)
@@ -401,6 +427,8 @@ class TestGoodSetBound:
             good_set_probability_bound(4, ALPHA, 0.2, 2.0, ALPHA)
         with pytest.raises(ParameterError):
             good_set_probability_bound(0, ALPHA, 0.2, 2.0, 0.25)
+        with pytest.raises(ParameterError, match="epsilon in"):
+            good_set_probability_bound(2, 1.0, 1.5, 2.0, 0.1)
 
     def test_empirical_bad_frequency_below_bound(self, halving_spec, noise):
         bad = 0

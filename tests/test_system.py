@@ -239,6 +239,14 @@ class TestTableModels:
         outside = np.array([-3.0, -1e-3, 4.001, 10.0])
         assert np.all(drift.derivative(outside) == 0.0)
 
+    def test_saturating_reset_derivative(self):
+        # The |r| kink puts the central difference 1.5e-6 off at r = 0.
+        reset = saturating_reset(1.5)
+        r = np.array([-3.0, -0.5, 0.0, 0.2, 1.0, 4.0])
+        h = 1e-6
+        central = (reset.fn(r + h) - reset.fn(r - h)) / (2.0 * h)
+        np.testing.assert_allclose(reset.derivative(r), central, rtol=0.0, atol=1e-5)
+
     def test_reset_table_odd_extension(self):
         reset = table_reset([(0.0, 0.0), (1.0, 0.45), (3.0, 1.1)])
         r = np.array([-4.0, -0.7, 0.7, 4.0])
