@@ -42,7 +42,8 @@ class FptParams:
 
 def fpt_density(params: FptParams, t):
     """Hitting-time density. Scalar nonpositive t is a domain error; in array
-    evaluation nonpositive entries return 0 so quadrature stays total."""
+    evaluation nonpositive entries return 0 so quadrature stays total. The
+    density is 0 at +inf and NaN at NaN."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     if scalar:
@@ -50,8 +51,8 @@ def fpt_density(params: FptParams, t):
             raise DomainError("density is supported on t > 0")
         t_arr = t_arr[None]
     alpha, s = params.alpha, params.eps_p
-    out = np.zeros(t_arr.shape)
-    pos = t_arr > 0.0
+    out = np.where(np.isnan(t_arr), math.nan, 0.0)
+    pos = (t_arr > 0.0) & (t_arr < math.inf)
     tp = t_arr[pos]
     out[pos] = alpha / (s * np.sqrt(_TWO_PI * tp ** 3)) * np.exp(
         -((tp - alpha) ** 2) / (2.0 * s * s * tp))
@@ -64,7 +65,7 @@ def fpt_cdf(params: FptParams, c):
     Uses the chi-square tail G(z) = 2(1 - Phi(sqrt(z))) split into the cases
     c <= mean and c > mean; the exponentially large factor exp(2*shape/mean)
     multiplies an exponentially small tail, so that product is evaluated in
-    log space.
+    log space. F is 0 at -inf, 1 at +inf and NaN at NaN.
     """
     # Local: scipy.special costs about 0.35 s and 25 MB at import.
     from scipy.special import log_ndtr, ndtr
@@ -74,8 +75,8 @@ def fpt_cdf(params: FptParams, c):
     if scalar:
         c_arr = c_arr[None]
     mu, lam = params.alpha, params.shape
-    out = np.zeros(c_arr.shape)
-    pos = c_arr > 0.0
+    out = np.where(np.isnan(c_arr), math.nan, np.where(c_arr == math.inf, 1.0, 0.0))
+    pos = (c_arr > 0.0) & (c_arr < math.inf)
     cp = c_arr[pos]
     a = lam * (cp - mu) ** 2 / (mu * mu * cp)
     half_g_a = ndtr(-np.sqrt(a))                       # (1/2)G(a)
@@ -95,7 +96,7 @@ def derived_tail_constant(alpha: float) -> float:
     Assembled so that K*(s/delta)*exp(-delta^2/(4*alpha*s^2)) dominates both
     one-sided hitting-time tails for every 0 < delta < min(1, alpha/2).
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ParameterError("alpha must be positive")
     return (math.sqrt(alpha / _TWO_PI) + math.sqrt(alpha / math.pi)
             + 1.0 / math.sqrt(4.0 * _TWO_PI * alpha))
@@ -117,7 +118,7 @@ def fpt_laplace(params: FptParams, lam: float) -> float:
     the direct form exp((alpha/s^2)(1 - sqrt(1 + 2*lam*s^2))) without the
     catastrophic cancellation the direct form suffers for small s.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ParameterError("transform argument must be nonnegative")
     s2 = params.eps_p ** 2
     return math.exp(-2.0 * params.alpha * lam / (1.0 + math.sqrt(1.0 + 2.0 * lam * s2)))
@@ -137,9 +138,10 @@ def renewal_mgf_bound(gamma: float, alpha: float, epsilon: float, p: float,
     multipliers is returned; each candidate is double-checked against the
     admissibility condition exp(gamma)*E[exp(-lam tau)] < 1.
     """
-    if gamma <= 0.0:
+    # Negated comparisons, so that NaN fails them.
+    if not gamma > 0.0:
         raise ParameterError("gamma must be positive")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ParameterError("time must be nonnegative")
     params = FptParams(alpha=alpha, eps_p=epsilon ** p)
     lam_crit = gamma / alpha + gamma ** 2 / (2.0 * alpha ** 2)

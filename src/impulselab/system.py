@@ -103,14 +103,81 @@ def _table(points, what: str):
     return xs, ys
 
 
-def _odd_pchip(xs: np.ndarray, ys: np.ndarray):
-    # Local: scipy.interpolate costs about 0.6 s and 50 MB at import.
-    from scipy.interpolate import PchipInterpolator
+def _edge_derivative(h0, h1, m0, m1):
+    """One-sided three-point end derivative, kept from overshooting."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
+
+def _pchip(xs: np.ndarray, ys: np.ndarray):
+    """Knots and (4, n-1) power-basis coefficients of the PCHIP interpolant.
+
+    Fritsch and Carlson's monotone cubic with Fritsch and Butland's harmonic-mean
+    knot derivatives and Moler's end derivatives, in scipy's
+    `PchipInterpolator` arithmetic, so that both give the same bits. Piece j
+    is c[0, j]*s**3 + c[1, j]*s**2 + c[2, j]*s + c[3, j] with s = r - xs[j];
+    no coefficient is -0.0.
+    """
+    h = np.diff(xs)
+    m = np.diff(ys) / h
+    if m.shape[0] == 1:
+        d = np.array([m[0], m[0]])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros_like(ys)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _edge_derivative(h[0], h[1], m[0], m[1])
+        d[-1] = _edge_derivative(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    # + 0.0 turns a -0.0 coefficient into +0.0, as scipy's sum, which starts
+    # from 0.0, does.
+    return xs, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1])) + 0.0
+
+
+def _piecewise(xs: np.ndarray, c: np.ndarray) -> Callable:
+    """Evaluator of the pieces `c` on knots `xs`, extended from the end pieces.
+
+    The powers are summed in scipy's `PPoly` order, lowest first; NaN gives NaN.
+    """
+    inner = xs[1:-1]
+    top, rows = c[-1], tuple(c[-2::-1])
+
+    def at(r):
+        r = np.asarray(r, dtype=float)
+        j = inner.searchsorted(r, side="right")
+        s = r - xs[j]
+        out, power = top[j], s
+        for k, row in enumerate(rows):
+            if k:
+                power = power * s
+            term = row[j]
+            term *= power
+            out += term
+        return out
+
+    return at
+
+
+def _value_and_slope(knots: np.ndarray, c: np.ndarray):
+    """Evaluators of the pieces `c` and of their derivative, whose coefficients
+    (3*c[0], 2*c[1], c[2]) are the ones `PPoly.derivative` forms."""
+    return _piecewise(knots, c), _piecewise(knots, c[:-1] * np.array([[3.0], [2.0], [1.0]]))
+
+
+def _odd_pchip(xs: np.ndarray, ys: np.ndarray):
     # Mirror the table through the origin so the interpolant is odd.
     xs_full = np.concatenate([-xs[::-1], xs[1:]]) if xs[0] == 0 else np.concatenate([-xs[::-1], xs])
     ys_full = np.concatenate([-ys[::-1], ys[1:]]) if xs[0] == 0 else np.concatenate([-ys[::-1], ys])
-    return PchipInterpolator(xs_full, ys_full, extrapolate=True)
+    return _pchip(xs_full, ys_full)
 
 
 def table_drift(points) -> DriftModel:
@@ -119,32 +186,27 @@ def table_drift(points) -> DriftModel:
     Outside the table hull the drift is clamped to its boundary values, so it
     stays bounded on all of R as the model assumes.
     """
-    # Local: scipy.interpolate costs about 0.6 s and 50 MB at import.
-    from scipy.interpolate import PchipInterpolator
-
-    xs, ys = _table(points, "drift")
-    interp = PchipInterpolator(xs, ys, extrapolate=False)
-    deriv_in = interp.derivative()
+    xs, c = _pchip(*_table(points, "drift"))
+    value_at, slope_at = _value_and_slope(xs, c)
     lo, hi = float(xs[0]), float(xs[-1])
-    # Plain-float copy of the interpolant for scalar calls; + 0.0 turns a -0.0
-    # coefficient into the +0.0 that scipy's sum starts from.
-    knots = interp.x.tolist()
-    c0, c1, c2, c3 = (interp.c + 0.0).tolist()
+    # Plain-float copy of the pieces for scalar calls.
+    knots = xs.tolist()
+    c0, c1, c2, c3 = c.tolist()
     last = len(knots) - 2
 
     def fn(r):
         if isinstance(r, float):
-            # np.clip, scipy's piece search and its power sum, in that order.
+            # The array path's clip, piece search and power sum, in that order.
             r = min(max(float(r), lo), hi)
             j = min(bisect_right(knots, r) - 1, last)
             s = r - knots[j]
             return c3[j] + c2[j] * s + c1[j] * (s * s) + c0[j] * ((s * s) * s)
-        return np.asarray(interp(np.clip(r, lo, hi)), dtype=float)
+        return np.asarray(value_at(np.asarray(r).clip(lo, hi)), dtype=float)
 
     def derivative(r):
         r = np.asarray(r, dtype=float)
         inside = (r >= lo) & (r <= hi)
-        return np.where(inside, deriv_in(np.clip(r, lo, hi)), 0.0)
+        return np.where(inside, slope_at(r.clip(lo, hi)), 0.0)
 
     return DriftModel(fn=fn, derivative=derivative)
 
@@ -159,8 +221,8 @@ def table_reset(points) -> ResetModel:
         ys = np.concatenate([[0.0], ys])
     if np.any(np.diff(ys) <= 0):
         raise ParameterError("reset table values must strictly increase")
-    interp = _odd_pchip(xs, ys)
-    deriv_in = interp.derivative()
+    knots, c = _odd_pchip(xs, ys)
+    value_at, slope_at = _value_and_slope(knots, c)
     hi = float(xs[-1])
     hi_val = float(ys[-1])
     # Beyond the table hull, continue with the final chord slope so the odd
@@ -170,13 +232,13 @@ def table_reset(points) -> ResetModel:
     def fn(r):
         r = np.asarray(r, dtype=float)
         inside = np.abs(r) <= hi
-        out = np.asarray(interp(np.clip(r, -hi, hi)), dtype=float)
+        out = value_at(r.clip(-hi, hi))
         return np.where(inside, out, np.sign(r) * (hi_val + (np.abs(r) - hi) * tail_slope))
 
     def derivative(r):
         r = np.asarray(r, dtype=float)
         inside = np.abs(r) <= hi
-        return np.where(inside, deriv_in(np.clip(r, -hi, hi)), tail_slope)
+        return np.where(inside, slope_at(r.clip(-hi, hi)), tail_slope)
 
     return ResetModel(fn=fn, derivative=derivative)
 

@@ -73,6 +73,16 @@ class TestDensity:
         out = fpt_density(params, np.array([-1.0, 0.0, 1.0]))
         assert out[0] == 0.0 and out[1] == 0.0 and out[2] > 0.0
 
+    def test_non_finite_arguments(self):
+        params = FptParams(alpha=1.0, eps_p=0.2)
+        assert fpt_density(params, math.inf) == 0.0
+        assert math.isnan(fpt_density(params, math.nan))
+        with pytest.raises(DomainError):
+            fpt_density(params, -math.inf)
+        out = fpt_density(params, np.array([math.inf, -math.inf, math.nan, 1.0]))
+        np.testing.assert_array_equal(out[:3], [0.0, 0.0, math.nan])
+        assert out[3].view(np.int64) == fpt_density(params, np.array([1.0]))[0].view(np.int64)
+
 
 class TestCdf:
     def test_value_at_mean(self):
@@ -106,6 +116,18 @@ class TestCdf:
         assert fpt_cdf(params, -2.0) == 0.0
         np.testing.assert_array_equal(fpt_cdf(params, np.array([-1.0, 0.0])), [0.0, 0.0])
 
+    def test_non_finite_arguments(self):
+        params = FptParams(alpha=1.0, eps_p=0.2)
+        assert fpt_cdf(params, math.inf) == 1.0
+        assert fpt_cdf(params, -math.inf) == 0.0
+        assert math.isnan(fpt_cdf(params, math.nan))
+        finite = np.array([0.5, 1.0, 1e6])
+        out = fpt_cdf(params, np.array([0.5, math.inf, 1.0, -math.inf, math.nan, 1e6]))
+        np.testing.assert_array_equal(out[[1, 3, 4]], [1.0, 0.0, math.nan])
+        # The finite entries keep the bits they have without the others.
+        np.testing.assert_array_equal(out[[0, 2, 5]].view(np.int64),
+                                      fpt_cdf(params, finite).view(np.int64))
+
     def test_survives_huge_shape(self):
         # shape 2.47e9: the exp(2*shape/mean) factor overflows unless the
         # product is taken in log space
@@ -128,8 +150,9 @@ class TestTailBound:
             math.sqrt(1 / (2 * math.pi)) + math.sqrt(1 / math.pi) + 1 / math.sqrt(8 * math.pi)
         )
         assert derived_tail_constant(1.0) == pytest.approx(1.16260, abs=1e-5)
-        with pytest.raises(ParameterError):
-            derived_tail_constant(0.0)
+        for alpha in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                derived_tail_constant(alpha)
 
     def test_example_bound_dominates_exact(self):
         params = FptParams(alpha=1.0, eps_p=0.05)
@@ -179,8 +202,9 @@ class TestLaplace:
             assert fpt_laplace(params, lam) == pytest.approx(numeric, abs=1e-7)
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(ParameterError):
-            fpt_laplace(FptParams(alpha=1.0, eps_p=0.1), -0.5)
+        for lam in (-0.5, math.nan):
+            with pytest.raises(ParameterError):
+                fpt_laplace(FptParams(alpha=1.0, eps_p=0.1), lam)
 
     def test_stable_for_tiny_noise(self):
         val = fpt_laplace(FptParams(alpha=1.0, eps_p=1e-8), 1.0)
@@ -214,9 +238,11 @@ class TestRenewalBound:
             renewal_mgf_bound(50.0, 1.0, 0.5, 2.0, 1.0)
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            renewal_mgf_bound(0.0, 1.0, 0.1, 2.0, 4.0)
+        for gamma in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                renewal_mgf_bound(gamma, 1.0, 0.1, 2.0, 4.0)
 
     def test_time_must_be_nonnegative(self):
-        with pytest.raises(ParameterError):
-            renewal_mgf_bound(0.5, 1.0, 0.1, 2.0, -1.0)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ParameterError):
+                renewal_mgf_bound(0.5, 1.0, 0.1, 2.0, t)

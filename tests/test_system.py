@@ -268,3 +268,103 @@ class TestTableModels:
     def test_reset_table_must_increase(self):
         with pytest.raises(ParameterError):
             table_reset([(0.0, 0.0), (1.0, 0.5), (2.0, 0.4)])
+
+
+def _scipy_drift(points):
+    """`table_drift`'s arithmetic on scipy's `PchipInterpolator`: the oracle it
+    must match bit for bit."""
+    from scipy.interpolate import PchipInterpolator
+
+    xs, ys = (np.array(v, dtype=float) for v in zip(*sorted(points)))
+    interp = PchipInterpolator(xs, ys, extrapolate=False)
+    slope = interp.derivative()
+    lo, hi = xs[0], xs[-1]
+    return (lambda q: interp(np.clip(q, lo, hi)),
+            lambda q: np.where((q >= lo) & (q <= hi), slope(np.clip(q, lo, hi)), 0.0))
+
+
+def _scipy_reset(points):
+    """`table_reset`'s arithmetic on scipy's `PchipInterpolator`, and its knots."""
+    from scipy.interpolate import PchipInterpolator
+
+    xs, ys = (np.array(v, dtype=float) for v in zip(*sorted(points)))
+    if xs[0] > 0:
+        xs, ys = np.concatenate([[0.0], xs]), np.concatenate([[0.0], ys])
+    # The odd extension through the origin, mirrored as `table_reset` does.
+    interp = PchipInterpolator(np.concatenate([-xs[::-1], xs[1:]]),
+                               np.concatenate([-ys[::-1], ys[1:]]))
+    slope = interp.derivative()
+    hi, hi_val = xs[-1], ys[-1]
+    tail = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    return (lambda q: np.where(np.abs(q) <= hi, interp(np.clip(q, -hi, hi)),
+                               np.sign(q) * (hi_val + (np.abs(q) - hi) * tail)),
+            lambda q: np.where(np.abs(q) <= hi, slope(np.clip(q, -hi, hi)), tail),
+            interp.x)
+
+
+def _queries(knots):
+    knots = np.asarray(knots, dtype=float)
+    lo, hi = knots.min(), knots.max()
+    return np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                           [-0.0, 0.0, lo - 1.0, hi + 1.0, -hi - 1.0, -1e300, 1e300, np.nan]])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# Table values: the small set makes flat segments, sign changes and -0.0 common.
+_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5]),
+                    st.integers(-2000, 2000).map(lambda k: k / 1000))
+
+
+class TestTableModelsMatchScipy:
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+           drift_table=st.lists(st.tuples(st.floats(1e-3, 3.0), _VALUES), min_size=2, max_size=12),
+           reset_table=st.lists(st.tuples(st.floats(1e-3, 3.0), st.floats(1e-3, 3.0)),
+                                min_size=1, max_size=11),
+           reset_at_origin=st.booleans())
+    # Two and three points; a -0.0 value at a 0.0 abscissa, whose sum at -0.0
+    # scipy starts from +0.0; then Moler's end derivative set to 0 (its sign
+    # differs from the end slope) and set to 3 times the end slope (the two end
+    # slopes differ in sign and it exceeds that).
+    @example(start=0.0, drift_table=[(1.0, -0.0), (1.0, 1.0)],
+             reset_table=[(1.0, 1.0)], reset_at_origin=True)
+    @example(start=-1.0, drift_table=[(1.0, 0.0), (1.0, -0.0), (1.0, 0.0)],
+             reset_table=[(1.0, 1.0), (0.5, 0.5)], reset_at_origin=False)
+    @example(start=0.0, drift_table=[(1.0, -0.0), (1.0, 1.0), (1.0, -1.0)],
+             reset_table=[(1.0, 1.0)], reset_at_origin=True)
+    @example(start=0.0, drift_table=[(1.0, 0.0), (1.0, 1.0), (1.0, 6.0)],
+             reset_table=[(1.0, 1.0), (1.0, 5.0)], reset_at_origin=True)
+    @example(start=0.0, drift_table=[(1.0, 0.0), (1.0, 1.0), (1.0, -4.0), (1.0, -4.0)],
+             reset_table=[(1.0, 1.0), (1.0, 5.0)], reset_at_origin=False)
+    def test_fit_and_evaluation_are_scipys(self, start, drift_table, reset_table,
+                                           reset_at_origin):
+        # Gaps of at least 1e-3 keep the abscissae strictly increasing; the
+        # first drift gap is unused.
+        xs = (start + np.cumsum([0.0] + [g for g, _ in drift_table[1:]])).tolist()
+        drift_points = list(zip(xs, [y for _, y in drift_table]))
+        rx, ry = (np.cumsum(v).tolist() for v in zip(*reset_table))
+        reset_points = list(zip(rx, ry))
+        if reset_at_origin or len(reset_points) == 1:
+            reset_points = [(0.0, 0.0), *reset_points]
+        want_b, want_db = _scipy_drift(drift_points)
+        want_h, want_dh, mirrored = _scipy_reset(reset_points)
+        drift, reset = table_drift(drift_points), table_reset(reset_points)
+
+        q = _queries(xs)
+        np.testing.assert_array_equal(_bits(drift.fn(q)), _bits(want_b(q)))
+        np.testing.assert_array_equal(_bits(drift.derivative(q)), _bits(want_db(q)))
+        np.testing.assert_array_equal(_bits([drift.fn(float(x)) for x in q]), _bits(want_b(q)))
+
+        q = _queries(mirrored)
+        np.testing.assert_array_equal(_bits(reset.fn(q)), _bits(want_h(q)))
+        np.testing.assert_array_equal(_bits(reset.derivative(q)), _bits(want_dh(q)))
+
+    @pytest.mark.parametrize("ys, want", [((0.0, 1.0, 2.0), 1.0), ((0.0, 1.0, 6.0), 0.0),
+                                          ((0.0, 1.0, -4.0), 3.0)])
+    def test_end_derivative_branches(self, ys, want):
+        # At unit spacing the one-sided estimate is (3*m0 - m1)/2 = 1, -1 and 4.
+        drift = table_drift(zip((0.0, 1.0, 2.0), ys))
+        assert drift.derivative(np.array([0.0]))[0] == want
