@@ -53,11 +53,10 @@ class Segment(NamedTuple):
 
 
 class CadlagPath:
-    """Piecewise-continuous path with jumps at its interior segment starts."""
+    """Piecewise-continuous path on [0, T], T its last sample time, with
+    jumps at the starts of its segments after the first."""
 
-    def __init__(self, horizon: float, segments: Sequence[tuple], jump_times=None):
-        if not np.isfinite(horizon) or horizon <= 0:
-            raise ShapeError(f"horizon must be a positive real, got {horizon!r}")
+    def __init__(self, segments: Sequence[tuple]):
         segs = []
         for times, values in segments:
             t = _readonly(np.atleast_1d(times))
@@ -78,21 +77,15 @@ class CadlagPath:
         if any(s.values.shape[1] != dim for s in segs):
             raise ShapeError("segments disagree on state dimension")
         starts = np.array([s.times[0] for s in segs])
-        ends = np.array([s.times[-1] for s in segs])
         if starts[0] != 0.0:
             raise ShapeError("first segment must start at time 0")
-        for k in range(1, len(segs)):
-            if ends[k - 1] != starts[k]:
-                raise ShapeError("segments must tile [0, T] without gaps")
+        if any(a.times[-1] != b.times[0] for a, b in zip(segs, segs[1:])):
+            raise ShapeError("segments must tile [0, T] without gaps")
         if any(s.times.shape[0] < 2 for s in segs[:-1]):
             raise ShapeError("only the terminal segment may be a single point")
-        if abs(ends[-1] - horizon) > _REL_TOL * max(1.0, horizon):
-            raise ShapeError("last segment must end at the horizon")
-        if jump_times is not None:
-            jt = np.atleast_1d(np.asarray(jump_times, dtype=float))
-            if jt.shape[0] != len(segs) - 1 or not np.array_equal(jt, starts[1:]):
-                raise ShapeError("jump times must coincide with segment starts")
-        self.horizon = float(horizon)
+        if not segs[-1].times[-1] > 0.0:
+            raise ShapeError("a path must end after time 0")
+        self.horizon = float(segs[-1].times[-1])
         self.dim = dim
         self.segments = tuple(segs)
         self.jump_times = _readonly(starts[1:])
@@ -131,7 +124,7 @@ class CadlagPath:
         return self.values_at(np.array([t]), side=side)[0]
 
 
-def assemble_from_grid(horizon, times, values, jump_times, pre_states, post_states) -> CadlagPath:
+def assemble_from_grid(times, values, jump_times, pre_states, post_states) -> CadlagPath:
     """Build a path from grid samples plus per-jump left/right states.
 
     `values[j]` is the (d,) state at `times[j]` (already post-reset if a jump
@@ -154,41 +147,40 @@ def assemble_from_grid(horizon, times, values, jump_times, pre_states, post_stat
     seg_t = np.concatenate([[start_t], times[inner]])
     seg_v = np.vstack([start_v[None, :], values[inner]])
     segments.append((seg_t, seg_v))
-    return CadlagPath(horizon, segments, jump_times=jump_times)
+    return CadlagPath(segments)
 
 
 @dataclass(frozen=True, eq=False)
 class TimeDistortion:
-    """Piecewise-linear increasing bijection of [0, T] onto itself."""
+    """Piecewise-linear increasing bijection of [0, T], T its last knot time."""
 
     knot_times: np.ndarray
     knot_values: np.ndarray
-    horizon: float = field(default=0.0)
+    horizon: float = field(init=False)
 
     def __post_init__(self):
         kt = np.atleast_1d(np.asarray(self.knot_times, dtype=float))
         kv = np.atleast_1d(np.asarray(self.knot_values, dtype=float))
         if kt.shape != kv.shape or kt.shape[0] < 2:
             raise InvalidDistortionError("need matching knot arrays with >= 2 knots")
-        horizon = float(self.horizon) if self.horizon else float(kt[-1])
+        horizon = float(kt[-1])
         tol = _REL_TOL * max(1.0, horizon)
         if abs(kt[0]) > tol or abs(kv[0]) > tol:
             raise InvalidDistortionError("distortion must fix time 0")
-        if abs(kt[-1] - horizon) > tol or abs(kv[-1] - horizon) > tol:
+        if abs(kv[-1] - horizon) > tol:
             raise InvalidDistortionError("distortion must fix the horizon")
         if not (np.all(np.diff(kt) > 0) and np.all(np.diff(kv) > 0)):
             raise InvalidDistortionError("knot times and images must strictly increase")
-        kt = kt.copy()
-        kv = kv.copy()
+        kt, kv = kt.copy(), kv.copy()
         kt[0] = kv[0] = 0.0
-        kt[-1] = kv[-1] = horizon
+        kv[-1] = horizon
         object.__setattr__(self, "knot_times", _readonly(kt))
         object.__setattr__(self, "knot_values", _readonly(kv))
         object.__setattr__(self, "horizon", horizon)
 
     @classmethod
     def identity(cls, horizon: float) -> "TimeDistortion":
-        return cls(np.array([0.0, horizon]), np.array([0.0, horizon]), horizon)
+        return cls(np.array([0.0, horizon]), np.array([0.0, horizon]))
 
     def apply(self, t) -> np.ndarray:
         return np.interp(t, self.knot_times, self.knot_values)
@@ -277,7 +269,7 @@ def build_aligning_distortion(det_times, stoch_times, horizon: float, good: bool
         raise InvalidInputError("impulse deviations must stay below alpha/4")
     kt = np.concatenate([[0.0], det_times, [horizon]])
     kv = np.concatenate([[0.0], stoch_times, [horizon]])
-    return TimeDistortion(kt, kv, horizon)
+    return TimeDistortion(kt, kv)
 
 
 # Query points scored at once by batch_skorohod_upper. About fifteen float
@@ -287,14 +279,12 @@ _POINT_BUDGET = 1 << 15
 _NO_JUMPS = np.empty(0, dtype=np.intp)
 
 
-def _grid_steps(start, steps, jump_index=_NO_JUMPS, pre=0.0, post=0.0):
+def _grid_steps(start, steps, jump_index=_NO_JUMPS, pre=0.0):
     """Start value and slope of every grid step of a path jumping at grid
-    indices `jump_index`: the post-jump value starts the step at a jump and
-    the pre-jump value ends the step before it. `start` holds the grid
-    samples and is overwritten at the jumps. The extra last entry is the
-    horizon sample with slope 0, so index j serves every t in
-    [times[j], times[j+1]) and t = T."""
-    start[..., jump_index] = post
+    indices `jump_index`: the grid samples `start` hold the post-jump values
+    at the jumps, and the pre-jump value `pre` ends the step before each. The
+    extra last entry is the horizon sample with slope 0, so index j serves
+    every t in [times[j], times[j+1]) and t = T."""
     end = start[..., 1:]
     if jump_index.size:
         end = end.copy()
@@ -335,10 +325,9 @@ class _Grid:
         self.jump_index = jump_index
         self.jump_order = np.full(n, -1)
         self.jump_order[jump_index] = np.arange(jump_index.shape[0])
-        self.det_r, self.det_pre, self.det_post = det.r_values, det.pre_radii, det.post_radii
-        self.det = (*_grid_steps(det.r_values.copy(), self.steps, jump_index, det.pre_radii,
-                                 det.post_radii), det.pre_radii)
-        self.theta = _grid_steps(det.theta_values.copy(), self.steps, jump_index, alpha, 0.0)
+        r, pre = det.r_values, det.pre_radii
+        self.det = (*_grid_steps(r, self.steps, jump_index, pre), pre)
+        self.theta = _grid_steps(det.theta_values, self.steps, jump_index, alpha)
 
     def _bucket(self, t):
         b = (t * self.scale).astype(np.intp)
@@ -357,11 +346,11 @@ class _Grid:
         trace for the given columns; column c reads trace column c mod
         per_level at level levels[c // per_level]."""
         eps = levels[columns // per_level, None]
-        values, pre, post = (a[:, columns % per_level].T for a in trace)
-        fo_pre = self.det_pre + eps * pre
-        start = np.add(self.det_r, eps * values, order="C")
-        return (*_grid_steps(start, self.steps, self.jump_index, fo_pre,
-                             self.det_post + eps * post), fo_pre)
+        values, pre = (a[:, columns % per_level].T for a in trace)
+        det_r, _, det_pre = self.det
+        fo_pre = det_pre + eps * pre
+        start = np.add(det_r, eps * values, order="C")
+        return (*_grid_steps(start, self.steps, self.jump_index, fo_pre), fo_pre)
 
 
 class _ReplicaBlock:
@@ -534,7 +523,7 @@ def batch_skorohod_upper(det, batch, good, trace=None):
     distortion, and `sup` the (F, C) sup terms, row 0 against the
     deterministic path and, with a trace, row 1 against the first-order path
     ``det + batch.levels[e].epsilon * trace[:, i]`` in the radius, where
-    ``trace = (values, pre, post)`` is the output of ``fluctuation_trace``
+    ``trace = (values, pre)`` is the output of ``fluctuation_trace``
     for the M replicas. ``np.maximum(cost, sup[f])`` equals ``skorohod_upper``
     on the corresponding path objects, because the sup runs over the same
     points, with right values everywhere and left limits at the jump points.
@@ -551,7 +540,7 @@ def batch_skorohod_upper(det, batch, good, trace=None):
     good = np.asarray(good)
     if good.dtype != bool or good.shape != (m,):
         raise InvalidInputError(f"good must be a ({m},) bool array")
-    want = [(n_points, per_level), (n_jumps, per_level), (n_jumps, per_level)]
+    want = [(n_points, per_level), (n_jumps, per_level)]
     if trace is not None and [np.shape(a) for a in trace] != want:
         raise InvalidInputError(f"trace arrays must have the shapes {want}")
     if good.any():
@@ -581,12 +570,19 @@ def batch_skorohod_upper(det, batch, good, trace=None):
     return cost, np.sqrt(sup, out=sup)
 
 
+def _aligning_inputs(delta: float, alpha: float, horizon: float) -> None:
+    for name, value in (("delta", delta), ("alpha", alpha), ("horizon", horizon)):
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}", field=name)
+
+
 def aligning_cost_bound(delta: float, alpha: float, horizon: float) -> float:
     """Bound 4*T*delta/alpha on the cost of an aligning distortion.
 
     Valid when deviations are at most delta < alpha/(4T) and the final leg
     T - N*alpha is not shorter than max(2*delta, alpha/(2T)).
     """
+    _aligning_inputs(delta, alpha, horizon)
     return 4.0 * horizon * delta / alpha
 
 
@@ -597,6 +593,7 @@ def aligning_slope_deviation_bound(delta: float, alpha: float, horizon: float) -
     delta/(T - floor(T/alpha)*alpha); the sup over the whole distortion is the
     larger of the two.
     """
+    _aligning_inputs(delta, alpha, horizon)
     n = int(np.floor(horizon / alpha + 1e-12))
     tail = horizon - n * alpha
     if tail <= 0:
@@ -641,7 +638,7 @@ def skorohod_oracle(x1: CadlagPath, x2: CadlagPath, resolution: int = 16) -> flo
     for images in itertools.combinations(cands, knots.shape[0]):
         kt = np.concatenate([[0.0], knots, [horizon]])
         kv = np.concatenate([[0.0], np.asarray(images), [horizon]])
-        lam = TimeDistortion(kt, kv, horizon)
+        lam = TimeDistortion(kt, kv)
         best = min(best, skorohod_upper(x1, x2, lam))
     return best
 
@@ -696,7 +693,7 @@ def read_path_csv(source) -> CadlagPath:
         raise DataError("not a path CSV: no sample after line 2")
     segments = [(np.array(t), np.array(v)) for t, v in zip(seg_times, seg_values)]
     try:
-        path = CadlagPath(seg_times[-1][-1], segments)
+        path = CadlagPath(segments)
     except ShapeError as err:
         raise DataError(f"not a path CSV: {err}") from None
     if not np.array_equal(jump_times, path.jump_times):

@@ -24,38 +24,29 @@ def fluctuation_trace(spec: SystemSpec, det: DeterministicSolution,
                       w_increments: np.ndarray):
     """Euler recursion for R1, vectorised over replica columns.
 
-    `w_increments` has shape (n_steps,) or (n_steps, M) and holds raw (unit
-    noise scale) Brownian increments on the deterministic grid. Returns
-    (values, pre, post): grid samples with the post-impulse convention at
-    impulse indices, plus pre/post values at each impulse.
+    `w_increments` has shape (n_steps, M) and holds raw (unit noise scale)
+    Brownian increments on the deterministic grid. Returns (values, pre): grid
+    samples, which hold the post-impulse value at each impulse index, and the
+    value just before each impulse.
     """
-    single = w_increments.ndim == 1
-    w_inc = w_increments[:, None] if single else w_increments
-    grid = det.grid
-    steps = grid.steps
-    n = steps.shape[0]
-    if w_inc.shape[0] != n:
-        raise AlignmentError("increment count does not match the grid step count")
+    steps = det.grid.steps
+    if w_increments.ndim != 2 or w_increments.shape[0] != steps.shape[0]:
+        raise AlignmentError("increments must be (n_steps, M) columns on the grid")
+    n, m = w_increments.shape
     growth = 1.0 + np.asarray(spec.drift_derivative(det.r_values[:-1]), dtype=float) * steps
     slopes = np.asarray(spec.reset_derivative(det.pre_radii), dtype=float)
-    at_boundary = {int(idx): k for k, idx in enumerate(grid.boundary_indices)}
-    m = w_inc.shape[1]
-    values = np.empty((n + 1, m))
-    values[0] = 0.0
+    at_boundary = {int(idx): k for k, idx in enumerate(det.grid.boundary_indices)}
+    values = np.zeros((n + 1, m))
     pre = np.empty((slopes.shape[0], m))
-    post = np.empty_like(pre)
     cur = np.zeros(m)
     for j in range(n):
-        cur = growth[j] * cur + w_inc[j]
+        cur = growth[j] * cur + w_increments[j]
         k = at_boundary.get(j + 1)
         if k is not None:
             pre[k] = cur
             cur = slopes[k] * cur
-            post[k] = cur
         values[j + 1] = cur
-    if single:
-        return values[:, 0], pre[:, 0], post[:, 0]
-    return values, pre, post
+    return values, pre
 
 
 def fluctuation_path(spec: SystemSpec, det: DeterministicSolution,
@@ -66,22 +57,19 @@ def fluctuation_path(spec: SystemSpec, det: DeterministicSolution,
     noisy ones.
     """
     grid = det.grid
-    values, pre, post = fluctuation_trace(spec, det, w_increments)
-    return assemble_from_grid(grid.horizon, grid.times, values[:, None],
-                              grid.impulse_times(), pre[:, None], post[:, None])
+    values, pre = fluctuation_trace(spec, det, w_increments[:, None])
+    return assemble_from_grid(grid.times, values, grid.impulse_times(), pre,
+                              values[grid.boundary_indices])
 
 
-def first_order_on_grid(det: DeterministicSolution, trace_values: np.ndarray,
-                        trace_pre: np.ndarray, trace_post: np.ndarray,
+def first_order_on_grid(det: DeterministicSolution, values: np.ndarray, pre: np.ndarray,
                         epsilon: float) -> CadlagPath:
-    """Assemble x + epsilon*Z directly from one column of a batched trace.
-
-    Jumps stay at the deterministic impulse times; the angle is not corrected.
-    """
+    """Assemble x + epsilon*Z from one column `values`, `pre` of a batched
+    trace. Jumps stay at the deterministic impulse times; the angle is not
+    corrected."""
     if epsilon < 0.0:
         raise ParameterError("epsilon must be nonnegative")
-    if trace_values.shape != det.r_values.shape:
+    if values.shape != det.r_values.shape:
         raise AlignmentError("correction and deterministic path live on different grids")
-    return solution_to_path(replace(det, r_values=det.r_values + epsilon * trace_values,
-                                    pre_radii=det.pre_radii + epsilon * trace_pre,
-                                    post_radii=det.post_radii + epsilon * trace_post))
+    return solution_to_path(replace(det, r_values=det.r_values + epsilon * values,
+                                    pre_radii=det.pre_radii + epsilon * pre))

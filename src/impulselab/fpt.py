@@ -17,6 +17,9 @@ import numpy as np
 from .errors import BoundSearchError, DomainError, ParameterError
 
 _TWO_PI = 2.0 * math.pi
+# Beyond this band t**3 and (t - alpha)**2 leave the double range; for alpha
+# in [1e-40, 1e40] the density there is below 1e-300 and F within it of 0 or 1.
+_MODERATE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,17 @@ class FptParams:
         return self.alpha ** 2 / self.eps_p ** 2
 
 
+def _moderate(t_arr: np.ndarray, low: float, high: float):
+    """Output for `t_arr`, NaN at NaN, `low` below and `high` above the
+    _MODERATE band, and the mask of the band, which the caller fills in."""
+    out = np.where(np.isnan(t_arr), math.nan, np.where(t_arr > 1.0, high, low))
+    return out, (t_arr > _MODERATE[0]) & (t_arr < _MODERATE[1])
+
+
 def fpt_density(params: FptParams, t):
     """Hitting-time density. Scalar nonpositive t is a domain error; in array
     evaluation nonpositive entries return 0 so quadrature stays total. The
-    density is 0 at +inf and NaN at NaN."""
+    density is 0 at +inf and beyond _MODERATE, and NaN at NaN."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     if scalar:
@@ -51,8 +61,7 @@ def fpt_density(params: FptParams, t):
             raise DomainError("density is supported on t > 0")
         t_arr = t_arr[None]
     alpha, s = params.alpha, params.eps_p
-    out = np.where(np.isnan(t_arr), math.nan, 0.0)
-    pos = (t_arr > 0.0) & (t_arr < math.inf)
+    out, pos = _moderate(t_arr, 0.0, 0.0)
     tp = t_arr[pos]
     out[pos] = alpha / (s * np.sqrt(_TWO_PI * tp ** 3)) * np.exp(
         -((tp - alpha) ** 2) / (2.0 * s * s * tp))
@@ -65,7 +74,7 @@ def fpt_cdf(params: FptParams, c):
     Uses the chi-square tail G(z) = 2(1 - Phi(sqrt(z))) split into the cases
     c <= mean and c > mean; the exponentially large factor exp(2*shape/mean)
     multiplies an exponentially small tail, so that product is evaluated in
-    log space. F is 0 at -inf, 1 at +inf and NaN at NaN.
+    log space. F is 0 below the _MODERATE band, 1 above it and NaN at NaN.
     """
     # Local: scipy.special costs about 0.35 s and 25 MB at import.
     from scipy.special import log_ndtr, ndtr
@@ -75,8 +84,7 @@ def fpt_cdf(params: FptParams, c):
     if scalar:
         c_arr = c_arr[None]
     mu, lam = params.alpha, params.shape
-    out = np.where(np.isnan(c_arr), math.nan, np.where(c_arr == math.inf, 1.0, 0.0))
-    pos = (c_arr > 0.0) & (c_arr < math.inf)
+    out, pos = _moderate(c_arr, 0.0, 1.0)
     cp = c_arr[pos]
     a = lam * (cp - mu) ** 2 / (mu * mu * cp)
     half_g_a = ndtr(-np.sqrt(a))                       # (1/2)G(a)

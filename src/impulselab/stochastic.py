@@ -335,8 +335,8 @@ def good_set_probability_bound(horizon_index: int, alpha: float, epsilon: float,
     T*(T+1) times :func:`fpt_tail_bound` at the angular noise scale epsilon^p,
     T = horizon_index; the tail bound checks alpha and delta.
     """
-    if horizon_index < 1:
-        raise ParameterError("horizon index must be a positive integer")
+    if _count(horizon_index, "horizon_index") < 1:
+        raise ParameterError("horizon index must be a positive integer", field="horizon_index")
     if not (0.0 < epsilon < 1.0) or p <= 1.0:
         raise ParameterError("need epsilon in (0,1) and p > 1")
     t = float(horizon_index)

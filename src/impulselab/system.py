@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -284,13 +284,18 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Time grid on [0, T] whose points include every impulse time k*alpha."""
+    """Time grid on [0, T] through every impulse time k*alpha; T and the steps
+    are read off `times`."""
 
     times: np.ndarray
-    steps: np.ndarray
     boundary_indices: np.ndarray
     alpha: float
-    horizon: float
+    steps: np.ndarray = field(init=False)
+    horizon: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", np.diff(self.times))
+        object.__setattr__(self, "horizon", float(self.times[-1]))
 
     @property
     def n_impulses(self) -> int:
@@ -327,9 +332,8 @@ def simulation_grid(alpha: float, horizon: float, dt: float) -> SimulationGrid:
             boundary_indices.append(len(times) - 1)
         start = end
     t = np.asarray(times)
-    return SimulationGrid(times=t, steps=np.diff(t),
-                          boundary_indices=np.asarray(boundary_indices, dtype=int),
-                          alpha=alpha, horizon=horizon)
+    return SimulationGrid(times=t, boundary_indices=np.asarray(boundary_indices, dtype=int),
+                          alpha=alpha)
 
 
 def _rk4_step(b: Callable, y: float, h: float) -> float:
@@ -342,13 +346,13 @@ def _rk4_step(b: Callable, y: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class DeterministicSolution:
-    """Grid samples of the noiseless flow plus impulse pre/post radii."""
+    """Noiseless grid samples, post-impulse at each impulse index, and the
+    radius just before each impulse."""
 
     grid: SimulationGrid
     r_values: np.ndarray
     theta_values: np.ndarray
     pre_radii: np.ndarray
-    post_radii: np.ndarray
 
 
 def integrate_deterministic(spec: SystemSpec, grid: SimulationGrid) -> DeterministicSolution:
@@ -357,19 +361,18 @@ def integrate_deterministic(spec: SystemSpec, grid: SimulationGrid) -> Determini
     r = np.empty(n + 1)
     r[0] = spec.r0
     boundary = set(int(j) for j in grid.boundary_indices)
-    pre, post = [], []
+    pre = []
     for j in range(n):
         y = _rk4_step(spec.drift, r[j], float(grid.steps[j]))
         if j + 1 in boundary:
             pre.append(y)
             y = float(spec.reset(y))
-            post.append(y)
         r[j + 1] = y
     seg_starts = np.concatenate([[0.0], grid.impulse_times()])
     idx = np.searchsorted(grid.times[grid.boundary_indices], grid.times, side="right")
     theta = grid.times - seg_starts[idx]
     return DeterministicSolution(grid=grid, r_values=r, theta_values=theta,
-                                 pre_radii=np.asarray(pre), post_radii=np.asarray(post))
+                                 pre_radii=np.asarray(pre))
 
 
 def polar_path(grid, r_values, theta_values, jump_times, pre_radii, post_radii) -> CadlagPath:
@@ -379,12 +382,13 @@ def polar_path(grid, r_values, theta_values, jump_times, pre_radii, post_radii) 
     values = np.stack([r_values, theta_values], axis=1)
     pre_states = np.stack([pre_radii, np.full(k, grid.alpha)], axis=1)
     post_states = np.stack([post_radii, np.zeros(k)], axis=1)
-    return assemble_from_grid(grid.horizon, grid.times, values, jump_times, pre_states, post_states)
+    return assemble_from_grid(grid.times, values, jump_times, pre_states, post_states)
 
 
 def solution_to_path(sol: DeterministicSolution) -> CadlagPath:
-    return polar_path(sol.grid, sol.r_values, sol.theta_values, sol.grid.impulse_times(),
-                      sol.pre_radii, sol.post_radii)
+    grid = sol.grid
+    return polar_path(grid, sol.r_values, sol.theta_values, grid.impulse_times(),
+                      sol.pre_radii, sol.r_values[grid.boundary_indices])
 
 
 def deterministic_trajectory(spec: SystemSpec, horizon: float, dt: float) -> CadlagPath:

@@ -205,11 +205,8 @@ def test_criterion_07_analytic_step_instance():
     """Aligned step paths: upper bound equals ln 1.25 within 1e-6 and the
     brute-force search lands within 1e-3 of it."""
     def step(jump):
-        return CadlagPath(
-            1.0,
-            [(np.array([0.0, jump]), np.array([0.0, 0.0])),
-             (np.array([jump, 1.0]), np.array([1.0, 1.0]))],
-            jump_times=[jump])
+        return CadlagPath([(np.array([0.0, jump]), np.array([0.0, 0.0])),
+                           (np.array([jump, 1.0]), np.array([1.0, 1.0]))])
 
     x1, x2 = step(0.4), step(0.5)
     lam = TimeDistortion(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.5, 1.0]))

@@ -46,8 +46,8 @@ def oracle(det, batch, good, trace, eps):
         lam = build_aligning_distortion(grid.impulse_times(), batch.impulse_times(i),
                                         grid.horizon, bool(good[i]))
         to_det.append(skorohod_upper(det_path, noisy, lam))
-        values, pre, post = trace
-        approx = first_order_on_grid(det, values[:, i], pre[:, i], post[:, i], eps)
+        values, pre = trace
+        approx = first_order_on_grid(det, values[:, i], pre[:, i], eps)
         to_first.append(skorohod_upper(approx, noisy, lam))
     return np.array(to_det), np.array(to_first)
 
@@ -183,7 +183,7 @@ def test_kernel_matches_oracle_on_hand_built_jumps(seed, first, on_grid, inside,
                         tau=tau, pre=pre, post=post, counts=counts,
                         levels=(NoiseParams(epsilon=eps, p=2.0),))
     good = np.array([True, False, False, False])
-    trace = (rng.normal(size=(n, m)), rng.normal(size=(2, m)), rng.normal(size=(2, m)))
+    trace = (rng.normal(size=(n, m)), rng.normal(size=(2, m)))
     assert_matches_oracle(det, batch, good, trace, eps)
 
 
@@ -225,7 +225,7 @@ def test_cost_is_the_aligning_distortion_cost(acceptance_batch):
 def test_zero_fluctuation_refined_equals_baseline_exactly(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     n, m = batch.r_values.shape[0], len(batch)
-    zeros = (np.zeros((n, m)), np.zeros((2, m)), np.zeros((2, m)))
+    zeros = (np.zeros((n, m)), np.zeros((2, m)))
     cost, sup = batch_skorohod_upper(det, batch, good, zeros)
     assert np.array_equal(sup[1], sup[0])
     alone_cost, alone = batch_skorohod_upper(det, batch, good)
@@ -252,9 +252,9 @@ def test_kernel_refuses_a_malformed_mask_or_trace(acceptance_batch):
     for mask in (good.astype(int), good[:-1], good[None, :]):
         with pytest.raises(InvalidInputError, match="bool array"):
             batch_skorohod_upper(det, batch, mask)
-    values, pre, post = fluctuation_trace(spec, det, batch.w_increments)
-    wide = np.hstack([values, values]), np.hstack([pre, pre]), np.hstack([post, post])
-    for trace in (wide, (values[:-1], pre, post), (values, pre[:1], post), (values, pre)):
+    values, pre = fluctuation_trace(spec, det, batch.w_increments)
+    wide = np.hstack([values, values]), np.hstack([pre, pre])
+    for trace in (wide, (values[:-1], pre), (values, pre[:1]), (values, pre, pre), (values,)):
         with pytest.raises(InvalidInputError, match="trace arrays"):
             batch_skorohod_upper(det, batch, good, trace)
 

@@ -32,12 +32,12 @@ from impulselab import (
 def step_path(jump: float, height: float, horizon: float = 1.0) -> CadlagPath:
     seg1 = (np.array([0.0, jump]), np.array([0.0, 0.0]))
     seg2 = (np.array([jump, horizon]), np.array([height, height]))
-    return CadlagPath(horizon, [seg1, seg2], jump_times=[jump])
+    return CadlagPath([seg1, seg2])
 
 
 def constant_path(value: float, horizon: float = 1.0, dim: int = 1) -> CadlagPath:
     vals = np.full((2, dim), value)
-    return CadlagPath(horizon, [(np.array([0.0, horizon]), vals)])
+    return CadlagPath([(np.array([0.0, horizon]), vals)])
 
 
 @st.composite
@@ -50,7 +50,7 @@ def cadlag_paths(draw, horizon: float, dim: int, values=st.floats(-1e3, 1e3)) ->
         n = draw(st.integers(2, 5))
         samples = draw(st.lists(values, min_size=n * dim, max_size=n * dim))
         segments.append((np.linspace(start, end, n), np.reshape(samples, (n, dim))))
-    return CadlagPath(horizon, segments, jump_times=bounds[1:-1])
+    return CadlagPath(segments)
 
 
 @st.composite
@@ -81,7 +81,6 @@ class TestCadlagPath:
     def test_segments_must_tile_interval(self):
         with pytest.raises(ShapeError):
             CadlagPath(
-                1.0,
                 [
                     (np.array([0.0, 0.3]), np.array([0.0, 0.0])),
                     (np.array([0.5, 1.0]), np.array([1.0, 1.0])),
@@ -90,36 +89,35 @@ class TestCadlagPath:
 
     def test_first_segment_must_start_at_zero(self):
         with pytest.raises(ShapeError):
-            CadlagPath(1.0, [(np.array([0.1, 1.0]), np.array([0.0, 0.0]))])
+            CadlagPath([(np.array([0.1, 1.0]), np.array([0.0, 0.0]))])
 
     def test_jump_times_must_match_segment_starts(self):
         seg1 = (np.array([0.0, 0.4]), np.array([0.0, 0.0]))
         seg2 = (np.array([0.4, 1.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ShapeError):
-            CadlagPath(1.0, [seg1, seg2], jump_times=[0.5])
+        path = CadlagPath([seg1, seg2])
+        np.testing.assert_array_equal(path.jump_times, [0.4])
+        assert path.horizon == 1.0
 
     def test_interpolation_within_segment(self):
-        path = CadlagPath(2.0, [(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))])
+        path = CadlagPath([(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))])
         assert path.value_at(0.5)[0] == pytest.approx(1.0)
         assert path.value_at(1.5)[0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("horizon, segments, message", [
-        (0.0, [([0.0, 1.0], [0.0, 0.0])], "horizon must be a positive real"),
-        (-1.0, [([0.0, 1.0], [0.0, 0.0])], "horizon must be a positive real"),
-        (1.0, [([0.0, 0.5, 1.0], [0.0, 0.0])], "disagree in length"),
-        (1.0, [([0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0])], "strictly increasing"),
-        (1.0, [], "at least one segment"),
-        (1.0, [([0.0, 0.5], [[0.0], [0.0]]), ([0.5, 1.0], [[1.0, 1.0], [1.0, 1.0]])],
+    @pytest.mark.parametrize("segments, message", [
+        ([([0.0], [1.0])], "must end after time 0"),
+        ([([0.0, 0.5, 1.0], [0.0, 0.0])], "disagree in length"),
+        ([([0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0])], "strictly increasing"),
+        ([], "at least one segment"),
+        ([([0.0, 0.5], [[0.0], [0.0]]), ([0.5, 1.0], [[1.0, 1.0], [1.0, 1.0]])],
          "state dimension"),
-        (1.0, [([0.0, 0.5], [0.0, 0.0]), ([0.5], [1.0]), ([0.5, 1.0], [2.0, 2.0])],
+        ([([0.0, 0.5], [0.0, 0.0]), ([0.5], [1.0]), ([0.5, 1.0], [2.0, 2.0])],
          "only the terminal segment"),
-        (2.0, [([0.0, 1.0], [0.0, 0.0])], "end at the horizon"),
-    ], ids=["zero horizon", "negative horizon", "lengths", "order", "no segments",
-            "dimensions", "inner point segment", "short of horizon"])
-    def test_malformed_segments_rejected(self, horizon, segments, message):
+    ], ids=["zero horizon", "lengths", "order", "no segments", "dimensions",
+            "inner point segment"])
+    def test_malformed_segments_rejected(self, segments, message):
         segments = [(np.array(t), np.array(v)) for t, v in segments]
         with pytest.raises(ShapeError, match=message):
-            CadlagPath(horizon, segments)
+            CadlagPath(segments)
 
 
 class TestTimeDistortion:
@@ -147,11 +145,11 @@ class TestTimeDistortion:
 
     def test_must_fix_endpoints(self):
         with pytest.raises(InvalidDistortionError, match=">= 2 knots"):
-            TimeDistortion(np.array([0.0]), np.array([0.0]), horizon=1.0)
+            TimeDistortion(np.array([0.0]), np.array([0.0]))
         with pytest.raises(InvalidDistortionError):
             TimeDistortion(np.array([0.0, 1.0]), np.array([0.1, 1.0]))
         with pytest.raises(InvalidDistortionError):
-            TimeDistortion(np.array([0.0, 1.0]), np.array([0.0, 0.9]), horizon=1.0)
+            TimeDistortion(np.array([0.0, 1.0]), np.array([0.0, 0.9]))
 
     def test_apply_inverse_round_trip(self):
         lam = TimeDistortion(np.array([0.0, 1.0, 2.5]), np.array([0.0, 1.2, 2.5]))
@@ -183,8 +181,8 @@ class TestSkorohodUpper:
 
     def test_euclidean_norm_on_components(self):
         vals = np.array([[0.0, 0.0], [0.0, 0.0]])
-        x1 = CadlagPath(1.0, [(np.array([0.0, 1.0]), vals)])
-        x2 = CadlagPath(1.0, [(np.array([0.0, 1.0]), vals + np.array([3.0, 4.0]))])
+        x1 = CadlagPath([(np.array([0.0, 1.0]), vals)])
+        x2 = CadlagPath([(np.array([0.0, 1.0]), vals + np.array([3.0, 4.0]))])
         assert uniform_distance(x1, x2) == pytest.approx(5.0, abs=1e-12)
 
     def test_mismatched_horizon_rejected(self):
@@ -257,8 +255,8 @@ class TestSkorohodOracle:
         for k in range(6):
             t = np.array([times[2 * k], times[2 * k + 2]])
             segs.append((t, np.array([float(k), float(k)])))
-        ragged = CadlagPath(1.0, [(np.array([0.0, 1.0]), np.array([0.0, 0.0]))])
-        many = CadlagPath(1.0, segs)
+        ragged = CadlagPath([(np.array([0.0, 1.0]), np.array([0.0, 0.0]))])
+        many = CadlagPath(segs)
         with pytest.raises(ComplexityGuardError):
             skorohod_oracle(many, ragged)
 
@@ -342,6 +340,15 @@ class TestAligningBounds:
         with pytest.raises(InvalidInputError):
             aligning_slope_deviation_bound(0.1, 1.0, 3.0)
 
+    @pytest.mark.parametrize("bound", [aligning_cost_bound, aligning_slope_deviation_bound])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["delta", "alpha", "horizon"])
+    @pytest.mark.parametrize("value", [-0.1, 0.0, math.nan, math.inf, -math.inf])
+    def test_inputs_must_be_positive_and_finite(self, bound, position, value):
+        args = [0.1, 1.0, 2.5]
+        args[position] = value
+        with pytest.raises(ParameterError, match="positive and finite"):
+            bound(*args)
+
     def test_min_form_counterexample(self):
         # alpha=1, T=2.8, N=2, delta=0.25, tau=(0.8, 2.2): every deviation is
         # 0.2 <= delta and the tail leg is 0.8 >= 2*delta, yet the middle slope
@@ -359,7 +366,7 @@ def fixed_csv_path() -> CadlagPath:
     rng = np.random.default_rng(3)
     seg1 = (np.linspace(0.0, 0.7, 5), rng.standard_normal((5, 2)))
     seg2 = (np.linspace(0.7, 2.0, 7), rng.standard_normal((7, 2)))
-    return CadlagPath(2.0, [seg1, seg2], jump_times=[0.7])
+    return CadlagPath([seg1, seg2])
 
 
 class TestPathCsv:

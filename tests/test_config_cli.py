@@ -459,10 +459,10 @@ class TestCliCommands:
                                n_replicas=3, store_increments=True)
         grid = batch.grid
         det = integrate_deterministic(cfg.system, grid)
-        values, pre, _ = fluctuation_trace(cfg.system, det, batch.w_increments[:, 0])
+        values, pre = fluctuation_trace(cfg.system, det, batch.w_increments[:, :1])
         z = read_path_csv(str(out))
-        np.testing.assert_array_equal(z.values_at(grid.times)[:, 0], values)
-        np.testing.assert_array_equal(z.values_at(grid.impulse_times(), "left")[:, 0], pre)
+        np.testing.assert_array_equal(z.values_at(grid.times)[:, 0], values[:, 0])
+        np.testing.assert_array_equal(z.values_at(grid.impulse_times(), "left")[:, 0], pre[:, 0])
         # The same bytes as a correction driven by replica 0's record drawn on
         # its own, outside the simulation.
         own_grid = simulation_grid(cfg.system.alpha, run.horizon, run.dt)

@@ -36,25 +36,31 @@ def brownian_values(grid, record) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(record.w_increments)])
 
 
+def one_trace(spec, det, w_increments):
+    """The trace of one (n_steps,) increment column, as 1-D arrays."""
+    values, pre = fluctuation_trace(spec, det, w_increments[:, None])
+    return values[:, 0], pre[:, 0]
+
+
 class TestFluctuationTrace:
     def test_zero_drift_derivative_closed_form(self, unit_setup):
         spec, grid, det, record = unit_setup
-        values, pre, post = fluctuation_trace(spec, det, record.w_increments)
+        values, pre = one_trace(spec, det, record.w_increments)
         w = brownian_values(grid, record)
         first = grid.times < 1.0
         np.testing.assert_allclose(values[first], w[first], atol=1e-12)
         i1 = int(np.searchsorted(grid.times, 1.0))
         assert pre[0] == pytest.approx(w[i1], abs=1e-12)
-        assert post[0] == pytest.approx(0.5 * w[i1], abs=1e-12)
+        assert values[i1] == pytest.approx(0.5 * w[i1], abs=1e-12)
         second = (grid.times >= 1.0) & (grid.times < 2.0)
         np.testing.assert_allclose(values[second],
                                    0.5 * w[i1] + (w[second] - w[i1]), atol=1e-12)
 
     def test_null_driver(self, unit_setup):
         spec, grid, det, _ = unit_setup
-        values, pre, post = fluctuation_trace(spec, det, np.zeros(grid.steps.shape[0]))
+        values, pre = one_trace(spec, det, np.zeros(grid.steps.shape[0]))
         assert np.all(values == 0.0)
-        assert np.all(pre == 0.0) and np.all(post == 0.0)
+        assert np.all(pre == 0.0)
 
     def test_annihilating_reset_restarts(self):
         drift = constant_drift(0.2)
@@ -64,9 +70,9 @@ class TestFluctuationTrace:
         grid = simulation_grid(1.0, 2.5, 1e-3)
         det = integrate_deterministic(spec, grid)
         record = BrownianRecord.generate(grid, replica_seed_sequence(7, 0), 8)
-        values, _, post = fluctuation_trace(spec, det, record.w_increments)
+        values, _ = one_trace(spec, det, record.w_increments)
         w = brownian_values(grid, record)
-        assert np.all(post == 0.0)
+        assert np.all(values[grid.boundary_indices] == 0.0)
         second = (grid.times >= 1.0) & (grid.times < 2.0)
         i1 = int(np.searchsorted(grid.times, 1.0))
         np.testing.assert_allclose(values[second], w[second] - w[i1], atol=1e-12)
@@ -74,10 +80,10 @@ class TestFluctuationTrace:
     def test_linearity_in_driver(self, unit_setup):
         spec, grid, det, record = unit_setup
         other = BrownianRecord.generate(grid, replica_seed_sequence(43, 0), 8)
-        v1, _, _ = fluctuation_trace(spec, det, record.w_increments)
-        v2, _, _ = fluctuation_trace(spec, det, other.w_increments)
-        v_sum, _, _ = fluctuation_trace(spec, det, record.w_increments + other.w_increments)
-        v_scaled, _, _ = fluctuation_trace(spec, det, 3.0 * record.w_increments)
+        v1, _ = one_trace(spec, det, record.w_increments)
+        v2, _ = one_trace(spec, det, other.w_increments)
+        v_sum, _ = one_trace(spec, det, record.w_increments + other.w_increments)
+        v_scaled, _ = one_trace(spec, det, 3.0 * record.w_increments)
         np.testing.assert_allclose(v_sum, v1 + v2, atol=1e-12)
         np.testing.assert_allclose(v_scaled, 3.0 * v1, atol=1e-12)
 
@@ -90,7 +96,7 @@ class TestFluctuationTrace:
         grid = simulation_grid(np.pi / 2, 4.0, 1e-3)
         det = integrate_deterministic(spec, grid)
         record = BrownianRecord.generate(grid, replica_seed_sequence(11, 0), 8)
-        values, pre, post = fluctuation_trace(spec, det, record.w_increments)
+        values, pre = one_trace(spec, det, record.w_increments)
 
         def slope(fn, r, h=1e-6):
             return float((fn(np.array([r + h])) - fn(np.array([r - h])))[0] / (2.0 * h))
@@ -103,14 +109,16 @@ class TestFluctuationTrace:
                 k = boundary.index(j + 1)
                 assert pre[k] == pytest.approx(cur, rel=1e-6, abs=1e-9)
                 cur *= slope(reset.fn, det.pre_radii[k])
-                assert post[k] == pytest.approx(cur, rel=1e-6, abs=1e-9)
+                assert values[j + 1] == pytest.approx(cur, rel=1e-6, abs=1e-9)
             want.append(cur)
         np.testing.assert_allclose(values, want, rtol=1e-6, atol=1e-9)
 
     def test_increment_count_checked(self, unit_setup):
         spec, _, det, record = unit_setup
         with pytest.raises(AlignmentError):
-            fluctuation_trace(spec, det, record.w_increments[:-10])
+            fluctuation_trace(spec, det, record.w_increments[:-10, None])
+        with pytest.raises(AlignmentError, match=r"\(n_steps, M\) columns"):
+            fluctuation_trace(spec, det, record.w_increments)
 
 
 class TestFluctuationPath:
@@ -130,8 +138,8 @@ class TestFluctuationPath:
 
 
 def first_order(spec, det, record, epsilon):
-    values, pre, post = fluctuation_trace(spec, det, record.w_increments)
-    return first_order_on_grid(det, values, pre, post, epsilon)
+    values, pre = one_trace(spec, det, record.w_increments)
+    return first_order_on_grid(det, values, pre, epsilon)
 
 
 class TestFirstOrderApproximation:
@@ -146,7 +154,7 @@ class TestFirstOrderApproximation:
         spec, grid, det, _ = unit_setup
         det_path = solution_to_path(det)
         zeros = np.zeros(grid.times.shape[0])
-        approx = first_order_on_grid(det, zeros, np.zeros(2), np.zeros(2), 0.3)
+        approx = first_order_on_grid(det, zeros, np.zeros(2), 0.3)
         for sa, sb in zip(approx.segments, det_path.segments):
             np.testing.assert_array_equal(sa.values, sb.values)
 
@@ -170,8 +178,8 @@ class TestFirstOrderApproximation:
 
     def test_grid_mismatch_rejected(self, unit_setup):
         spec, _, det, record = unit_setup
-        values, pre, post = fluctuation_trace(spec, det, record.w_increments)
+        values, pre = one_trace(spec, det, record.w_increments)
         other_grid = simulation_grid(1.0, 2.5, 2e-3)
         other_det = integrate_deterministic(spec, other_grid)
         with pytest.raises(AlignmentError):
-            first_order_on_grid(other_det, values, pre, post, 0.1)
+            first_order_on_grid(other_det, values, pre, 0.1)

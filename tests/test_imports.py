@@ -233,3 +233,50 @@ def test_the_seed_convention_draws_in_one_function():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {"src/impulselab/stochastic.py": ["_draw_block"]}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function:parameter` for every parameter of a function or lambda that
+    its body never reads as a plain name. A nested
+    function's reads count for the functions around it; defaults and
+    decorators are not the body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for statement in body for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        owner = getattr(node, "name", "<lambda>")
+        found += [f"{owner}:{param.arg}" for param in params
+                  if param is not None and param.arg not in read]
+    return found
+
+
+def test_unread_parameters_finds_every_idle_knob():
+    source = ("def scale(x, factor, *rest, unit=1.0, **extra):\n"
+              "    return x * unit\n"
+              "def outer(a, b=len):\n"
+              "    def inner(c):\n"
+              "        return a\n"
+              "    return inner\n"
+              "class Box:\n"
+              "    def size(self):\n"
+              "        return 0\n"
+              "square = lambda v, w: v * v\n")
+    assert sorted(unread_parameters(source)) == ["<lambda>:w", "inner:c", "outer:b",
+                                                 "scale:extra", "scale:factor", "scale:rest",
+                                                 "size:self"]
+
+
+def test_every_parameter_is_read():
+    """Each knob does something: no function or lambda in the package takes a
+    parameter it ignores."""
+    found = {}
+    for path in sorted(ROOT.glob("src/impulselab/**/*.py")):
+        names = unread_parameters(path.read_text(encoding="utf-8"))
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {}

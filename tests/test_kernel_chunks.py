@@ -30,15 +30,13 @@ from impulselab.stochastic import good_set_mask
 def flat_grid(grid):
     """The kernel's tables for `grid`, around a deterministic path that is 0."""
     n, k = grid.times.shape[0], grid.n_impulses
-    return cadlag._Grid(DeterministicSolution(grid, np.zeros(n), np.zeros(n), np.zeros(k),
-                                              np.zeros(k)))
+    return cadlag._Grid(DeterministicSolution(grid, np.zeros(n), np.zeros(n), np.zeros(k)))
 
 
 def grid_of(times):
     times = np.asarray(times, dtype=float)
-    return flat_grid(SimulationGrid(times=times, steps=np.diff(times),
-                                    boundary_indices=np.zeros(0, dtype=int), alpha=1.0,
-                                    horizon=times[-1]))
+    return flat_grid(SimulationGrid(times=times, boundary_indices=np.zeros(0, dtype=int),
+                                    alpha=1.0))
 
 
 def queries(times, rng):

@@ -430,6 +430,13 @@ class TestGoodSetBound:
         with pytest.raises(ParameterError, match="epsilon in"):
             good_set_probability_bound(2, 1.0, 1.5, 2.0, 0.1)
 
+    def test_horizon_index_is_an_integer(self):
+        for index in (2.5, 2.0, "2"):
+            with pytest.raises(ParameterError, match="horizon_index"):
+                good_set_probability_bound(index, 1.0, 0.1, 2.0, 0.1)
+        assert (good_set_probability_bound(np.int64(2), 1.0, 0.1, 2.0, 0.1)
+                == good_set_probability_bound(2, 1.0, 0.1, 2.0, 0.1))
+
     def test_empirical_bad_frequency_below_bound(self, halving_spec, noise):
         bad = 0
         total = 10000

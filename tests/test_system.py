@@ -147,7 +147,7 @@ class TestDeterministicTrajectory:
 
     def test_path_jump_times_match_schedule(self, halving_unit_spec):
         # The jumps are the grid's impulse times, and their one-sided limits
-        # the integrator's pre/post radii, bit for bit.
+        # the integrator's pre-impulse radii and impulse-index samples, bit for bit.
         path = deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=1e-3)
         grid = simulation_grid(1.0, 2.5, 1e-3)
         sol = integrate_deterministic(halving_unit_spec, grid)
@@ -155,7 +155,7 @@ class TestDeterministicTrajectory:
         np.testing.assert_array_equal(path.values_at(path.jump_times, "left")[:, 0],
                                       sol.pre_radii)
         np.testing.assert_array_equal(path.values_at(path.jump_times, "right")[:, 0],
-                                      sol.post_radii)
+                                      sol.r_values[grid.boundary_indices])
 
 
 # sha256 of `integrate_deterministic(...).r_values.tobytes()` at alpha = pi/2,
@@ -180,7 +180,7 @@ def test_rk4_solution_is_pinned(model):
         spec, drift=lambda r: drift.fn(np.atleast_1d(r)).reshape(np.shape(r)))
     grid = simulation_grid(np.pi / 2, 4.0, 1e-3)
     sol, ref = integrate_deterministic(spec, grid), integrate_deterministic(forced, grid)
-    for name in ("r_values", "pre_radii", "post_radii"):
+    for name in ("r_values", "pre_radii"):
         np.testing.assert_array_equal(getattr(sol, name).view(np.int64),
                                       getattr(ref, name).view(np.int64))
     assert hashlib.sha256(sol.r_values.tobytes()).hexdigest() == _PINNED_R_VALUES[model]
