@@ -12,10 +12,7 @@ from .cadlag import (CadlagPath, Segment, TimeDistortion, aligning_cost_bound,
                      aligning_slope_deviation_bound, batch_skorohod_upper,
                      build_aligning_distortion, distortion_cost, read_path_csv,
                      skorohod_oracle, skorohod_upper, uniform_distance, write_path_csv)
-from .errors import (AlignmentError, BoundSearchError, ComplexityGuardError, ConfigError,
-                     DataError, DomainError, HorizonError, ImpulseLabError,
-                     InvalidDistortionError, InvalidInputError, ParameterError,
-                     ResolutionError, RunawayError, ShapeError)
+from .errors import ConfigError, DataError, ImpulseLabError, ParameterError
 from .experiments import (EpsilonRow, ExperimentConfig, ExperimentReport, RateFit,
                           clt_experiment, fit_rate, ks_test, lln_experiment)
 from .fluctuation import first_order_on_grid, fluctuation_path
@@ -32,14 +29,11 @@ from .system import (DeterministicSolution, DriftModel, ResetModel, SimulationGr
 from .cli import RunConfig, load_config
 
 __all__ = [
-    "AlignmentError", "BatchResult", "BoundSearchError", "BrownianRecord",
-    "CadlagPath", "ComplexityGuardError", "ConfigError", "DataError",
-    "DeterministicSolution", "DomainError", "DriftModel", "EpsilonRow",
-    "ExperimentConfig", "ExperimentReport", "FptParams",
-    "GoodSetRecord", "HorizonError", "ImpulseLabError",
-    "InvalidDistortionError", "InvalidInputError", "NoiseParams", "ParameterError",
-    "RateFit", "ResetModel", "ResolutionError", "RunConfig", "RunawayError",
-    "Segment", "ShapeError", "SimulationGrid", "SystemSpec", "TimeDistortion",
+    "BatchResult", "BrownianRecord", "CadlagPath", "ConfigError", "DataError",
+    "DeterministicSolution", "DriftModel", "EpsilonRow", "ExperimentConfig",
+    "ExperimentReport", "FptParams", "GoodSetRecord", "ImpulseLabError", "NoiseParams",
+    "ParameterError", "RateFit", "ResetModel", "RunConfig", "Segment", "SimulationGrid",
+    "SystemSpec", "TimeDistortion",
     "aligning_cost_bound", "aligning_slope_deviation_bound", "batch_skorohod_upper",
     "build_aligning_distortion", "classify_good_set", "clt_experiment",
     "constant_drift", "derived_tail_constant", "deterministic_trajectory",

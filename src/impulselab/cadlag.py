@@ -24,15 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    ComplexityGuardError,
-    DataError,
-    InvalidDistortionError,
-    InvalidInputError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import DataError, ParameterError
 from ._text import format_float, open_dest
 
 _REL_TOL = 1e-9
@@ -65,26 +57,26 @@ class CadlagPath:
                 v = v[:, None]
             v = _readonly(v)
             if t.shape[0] != v.shape[0]:
-                raise ShapeError("segment times and values disagree in length")
+                raise DataError("segment times and values disagree in length")
             if t.shape[0] >= 2 and not np.all(np.diff(t) > 0):
-                raise ShapeError("segment times must be strictly increasing")
+                raise DataError("segment times must be strictly increasing")
             if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-                raise ShapeError("path samples must be finite")
+                raise DataError("path samples must be finite")
             segs.append(Segment(t, v))
         if not segs:
-            raise ShapeError("a path needs at least one segment")
+            raise DataError("a path needs at least one segment")
         dim = segs[0].values.shape[1]
         if any(s.values.shape[1] != dim for s in segs):
-            raise ShapeError("segments disagree on state dimension")
+            raise DataError("segments disagree on state dimension")
         starts = np.array([s.times[0] for s in segs])
         if starts[0] != 0.0:
-            raise ShapeError("first segment must start at time 0")
+            raise DataError("first segment must start at time 0")
         if any(a.times[-1] != b.times[0] for a, b in zip(segs, segs[1:])):
-            raise ShapeError("segments must tile [0, T] without gaps")
+            raise DataError("segments must tile [0, T] without gaps")
         if any(s.times.shape[0] < 2 for s in segs[:-1]):
-            raise ShapeError("only the terminal segment may be a single point")
+            raise DataError("only the terminal segment may be a single point")
         if not segs[-1].times[-1] > 0.0:
-            raise ShapeError("a path must end after time 0")
+            raise DataError("a path must end after time 0")
         self.horizon = float(segs[-1].times[-1])
         self.dim = dim
         self.segments = tuple(segs)
@@ -162,15 +154,15 @@ class TimeDistortion:
         kt = np.atleast_1d(np.asarray(self.knot_times, dtype=float))
         kv = np.atleast_1d(np.asarray(self.knot_values, dtype=float))
         if kt.shape != kv.shape or kt.shape[0] < 2:
-            raise InvalidDistortionError("need matching knot arrays with >= 2 knots")
+            raise DataError("need matching knot arrays with >= 2 knots")
         horizon = float(kt[-1])
         tol = _REL_TOL * max(1.0, horizon)
         if abs(kt[0]) > tol or abs(kv[0]) > tol:
-            raise InvalidDistortionError("distortion must fix time 0")
+            raise DataError("distortion must fix time 0")
         if abs(kv[-1] - horizon) > tol:
-            raise InvalidDistortionError("distortion must fix the horizon")
+            raise DataError("distortion must fix the horizon")
         if not (np.all(np.diff(kt) > 0) and np.all(np.diff(kv) > 0)):
-            raise InvalidDistortionError("knot times and images must strictly increase")
+            raise DataError("knot times and images must strictly increase")
         kt, kv = kt.copy(), kv.copy()
         kt[0] = kv[0] = 0.0
         kv[-1] = horizon
@@ -199,9 +191,9 @@ def distortion_cost(distortion: TimeDistortion) -> float:
 
 def _check_compatible(x1: CadlagPath, x2: CadlagPath) -> None:
     if abs(x1.horizon - x2.horizon) > _REL_TOL * max(1.0, x1.horizon):
-        raise ShapeError("paths must share the same horizon")
+        raise DataError("paths must share the same horizon")
     if x1.dim != x2.dim:
-        raise ShapeError("paths must share the same state dimension")
+        raise DataError("paths must share the same state dimension")
 
 
 def skorohod_upper(x1: CadlagPath, x2: CadlagPath, distortion: TimeDistortion) -> float:
@@ -213,7 +205,7 @@ def skorohod_upper(x1: CadlagPath, x2: CadlagPath, distortion: TimeDistortion) -
     """
     _check_compatible(x1, x2)
     if abs(distortion.horizon - x1.horizon) > _REL_TOL * max(1.0, x1.horizon):
-        raise ShapeError("distortion horizon must match the paths")
+        raise DataError("distortion horizon must match the paths")
     gamma = distortion_cost(distortion)
     ts = np.unique(
         np.concatenate(
@@ -249,24 +241,24 @@ def build_aligning_distortion(det_times, stoch_times, horizon: float, good: bool
     det_times = np.atleast_1d(np.asarray(det_times, dtype=float))
     stoch_times = np.atleast_1d(np.asarray(stoch_times, dtype=float))
     if det_times.shape != stoch_times.shape:
-        raise InvalidInputError("need one noisy impulse time per deterministic one")
+        raise DataError("need one noisy impulse time per deterministic one")
     n = det_times.shape[0]
     if n == 0:
         return TimeDistortion.identity(horizon)
     alpha = det_times[0]
     if alpha <= 0:
-        raise InvalidInputError("deterministic impulse times must be positive")
+        raise DataError("deterministic impulse times must be positive")
     expected = alpha * np.arange(1, n + 1)
     if np.max(np.abs(det_times - expected)) > _REL_TOL * alpha * n:
-        raise InvalidInputError("deterministic impulse times must be k*alpha")
+        raise DataError("deterministic impulse times must be k*alpha")
     if not (n * alpha < horizon < (n + 1) * alpha):
-        raise InvalidInputError("horizon must lie strictly between impulse counts")
+        raise DataError("horizon must lie strictly between impulse counts")
     if np.any(np.diff(stoch_times) <= 0) or stoch_times[0] <= 0:
-        raise InvalidInputError("noisy impulse times must be strictly increasing and positive")
+        raise DataError("noisy impulse times must be strictly increasing and positive")
     if stoch_times[-1] >= horizon:
-        raise InvalidInputError("last noisy impulse time must precede the horizon")
+        raise DataError("last noisy impulse time must precede the horizon")
     if np.max(np.abs(stoch_times - expected)) >= alpha / 4:
-        raise InvalidInputError("impulse deviations must stay below alpha/4")
+        raise DataError("impulse deviations must stay below alpha/4")
     kt = np.concatenate([[0.0], det_times, [horizon]])
     kv = np.concatenate([[0.0], stoch_times, [horizon]])
     return TimeDistortion(kt, kv)
@@ -532,22 +524,22 @@ def batch_skorohod_upper(det, batch, good, trace=None):
     """
     times = det.grid.times
     if not np.array_equal(batch.grid.times, times):
-        raise AlignmentError("batch and deterministic path live on different grids")
+        raise DataError("batch and deterministic path live on different grids")
     tau, counts, m = batch.tau, batch.counts, len(batch)
     levels = np.array([level.epsilon for level in batch.levels])
     per_level = m // levels.shape[0]
     n_points, n_jumps = times.shape[0], det.grid.n_impulses
     good = np.asarray(good)
     if good.dtype != bool or good.shape != (m,):
-        raise InvalidInputError(f"good must be a ({m},) bool array")
+        raise DataError(f"good must be a ({m},) bool array")
     want = [(n_points, per_level), (n_jumps, per_level)]
     if trace is not None and [np.shape(a) for a in trace] != want:
-        raise InvalidInputError(f"trace arrays must have the shapes {want}")
+        raise DataError(f"trace arrays must have the shapes {want}")
     if good.any():
         legs = np.diff(tau[good, :n_jumps], axis=1, prepend=0.0, append=times[-1])
         if np.any(counts[good] != n_jumps) or not np.all(legs > 0):
-            raise InvalidInputError("a good replica needs one increasing impulse time per "
-                                    "deterministic jump, inside (0, T)")
+            raise DataError("a good replica needs one increasing impulse time per "
+                            "deterministic jump, inside (0, T)")
     grid = _Grid(det)
     cost, sup = np.empty(m), np.zeros((1 if trace is None else 2, m))
     size = max(1, _POINT_BUDGET // n_points)
@@ -594,10 +586,12 @@ def aligning_slope_deviation_bound(delta: float, alpha: float, horizon: float) -
     larger of the two.
     """
     _aligning_inputs(delta, alpha, horizon)
+    if not math.isfinite(horizon / alpha):
+        raise ParameterError(f"horizon/alpha must be finite, got {horizon!r}/{alpha!r}")
     n = int(np.floor(horizon / alpha + 1e-12))
     tail = horizon - n * alpha
     if tail <= 0:
-        raise InvalidInputError("horizon must not be a multiple of alpha")
+        raise ParameterError("horizon must not be a multiple of alpha")
     return max(2.0 * delta / alpha, delta / tail)
 
 
@@ -613,7 +607,7 @@ def skorohod_oracle(x1: CadlagPath, x2: CadlagPath, resolution: int = 16) -> flo
     if resolution < 8:
         raise ParameterError("resolution must be at least 8")
     if len(x1.jump_times) > 4 or len(x2.jump_times) > 4:
-        raise ComplexityGuardError("oracle handles at most 4 jumps per path")
+        raise DataError("oracle handles at most 4 jumps per path")
     horizon = x1.horizon
     best = skorohod_upper(x1, x2, TimeDistortion.identity(horizon))
     knots = x1.jump_times
@@ -625,7 +619,7 @@ def skorohod_oracle(x1: CadlagPath, x2: CadlagPath, resolution: int = 16) -> flo
     # before it is allocated; so is one whose offsets would collapse after
     # rounding into fewer candidates.
     if math.comb(targets.shape[0] * (2 * r_eff + 1), knots.shape[0]) > _ORACLE_BUDGET:
-        raise ComplexityGuardError(f"oracle would try more than {_ORACLE_BUDGET} distortions")
+        raise DataError(f"oracle would try more than {_ORACLE_BUDGET} distortions")
     anchors = np.unique(np.concatenate([[0.0], targets, [horizon]]))
     width = float(np.min(np.diff(anchors))) / 2.0
     offsets = width * np.arange(-r_eff, r_eff + 1) / r_eff
@@ -634,7 +628,7 @@ def skorohod_oracle(x1: CadlagPath, x2: CadlagPath, resolution: int = 16) -> flo
     )
     cands = cands[(cands > _REL_TOL) & (cands < horizon - _REL_TOL)]
     if math.comb(cands.shape[0], knots.shape[0]) > _ORACLE_BUDGET:
-        raise ComplexityGuardError(f"oracle would try more than {_ORACLE_BUDGET} distortions")
+        raise DataError(f"oracle would try more than {_ORACLE_BUDGET} distortions")
     for images in itertools.combinations(cands, knots.shape[0]):
         kt = np.concatenate([[0.0], knots, [horizon]])
         kv = np.concatenate([[0.0], np.asarray(images), [horizon]])
@@ -694,7 +688,7 @@ def read_path_csv(source) -> CadlagPath:
     segments = [(np.array(t), np.array(v)) for t, v in zip(seg_times, seg_values)]
     try:
         path = CadlagPath(segments)
-    except ShapeError as err:
+    except DataError as err:
         raise DataError(f"not a path CSV: {err}") from None
     if not np.array_equal(jump_times, path.jump_times):
         raise DataError("path CSV line 1: jump times do not match the segment starts")

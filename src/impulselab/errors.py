@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Everything raised on purpose derives from :class:`ImpulseLabError` so the CLI
-can map failures to exit codes (config errors vs numerical guards vs I/O).
+Everything raised on purpose derives from :class:`ImpulseLabError`, and there
+is one subclass per decision a caller makes: the CLI exits 2 on
+:class:`ConfigError` and 3 on any other package error, re-keys a
+:class:`ParameterError` by its `field`, and `read_path_csv` relabels a
+:class:`DataError` as a malformed file.
 """
 
 
@@ -21,49 +24,12 @@ class ConfigError(ImpulseLabError):
     """Invalid configuration file, key, or cross-field constraint."""
 
 
-class ShapeError(ImpulseLabError):
-    """Mismatched horizons or dimensions between paths."""
-
-
-class InvalidDistortionError(ImpulseLabError):
-    """Time distortion violates its invariants (not an increasing bijection)."""
-
-
-class InvalidInputError(ImpulseLabError):
-    """Impulse-time inputs violate ordering or range preconditions."""
-
-
-class ComplexityGuardError(ImpulseLabError):
-    """Brute-force search refused because the instance is too large."""
-
-
-class HorizonError(ImpulseLabError):
-    """Horizon does not lie strictly between two impulse times."""
-
-
-class ResolutionError(ImpulseLabError):
-    """Integration step too coarse for the requested operation."""
-
-
-class RunawayError(ImpulseLabError):
-    """Simulation produced more impulses than the configured cap."""
-
-
 class ParameterError(ImpulseLabError):
-    """Scalar parameter outside its admissible range."""
-
-
-class DomainError(ImpulseLabError):
-    """Scalar function argument outside the mathematical domain."""
-
-
-class AlignmentError(ImpulseLabError):
-    """Grids of coupled objects do not coincide."""
-
-
-class BoundSearchError(ImpulseLabError):
-    """No admissible transform parameter found within the search budget."""
+    """Scalar input outside its admissible range or domain, or a numerical
+    guard: a step too coarse, a horizon on an impulse time, an impulse count
+    over its cap, a bound search that found nothing."""
 
 
 class DataError(ImpulseLabError):
-    """Statistical routine received unusable data."""
+    """Malformed arrays, paths, distortions or grids: mismatched shapes or
+    horizons, broken ordering, or an instance too large to search."""

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cadlag import CadlagPath, assemble_from_grid
-from .errors import AlignmentError, ParameterError
+from .errors import DataError, ParameterError
 from .system import DeterministicSolution, SystemSpec, solution_to_path
 
 
@@ -31,7 +31,7 @@ def fluctuation_trace(spec: SystemSpec, det: DeterministicSolution,
     """
     steps = det.grid.steps
     if w_increments.ndim != 2 or w_increments.shape[0] != steps.shape[0]:
-        raise AlignmentError("increments must be (n_steps, M) columns on the grid")
+        raise DataError("increments must be (n_steps, M) columns on the grid")
     n, m = w_increments.shape
     growth = 1.0 + np.asarray(spec.drift_derivative(det.r_values[:-1]), dtype=float) * steps
     slopes = np.asarray(spec.reset_derivative(det.pre_radii), dtype=float)
@@ -70,6 +70,6 @@ def first_order_on_grid(det: DeterministicSolution, values: np.ndarray, pre: np.
     if epsilon < 0.0:
         raise ParameterError("epsilon must be nonnegative")
     if values.shape != det.r_values.shape:
-        raise AlignmentError("correction and deterministic path live on different grids")
+        raise DataError("correction and deterministic path live on different grids")
     return solution_to_path(replace(det, r_values=det.r_values + epsilon * values,
                                     pre_radii=det.pre_radii + epsilon * pre))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundSearchError, DomainError, ParameterError
+from .errors import ParameterError
 
 _TWO_PI = 2.0 * math.pi
 # Beyond this band t**3 and (t - alpha)**2 leave the double range; for alpha
@@ -36,6 +36,17 @@ class FptParams:
             raise ParameterError("alpha must be finite", field="alpha")
         if not (0.0 < self.eps_p < 1.0):
             raise ParameterError("angular noise scale must lie in (0, 1)", field="eps_p")
+        try:
+            shape = self.shape
+        except (OverflowError, ZeroDivisionError):
+            shape = math.inf
+        if not 0.0 < shape < math.inf:
+            # A shape of 0 needs a tiny alpha, as eps_p < 1; an infinite one
+            # is blamed on alpha where alpha > 1/eps_p, on eps_p otherwise.
+            raise ParameterError(
+                "shape alpha^2/eps_p^2 must be a positive finite float, "
+                f"got alpha={self.alpha!r}, eps_p={self.eps_p!r}",
+                field="alpha" if shape == 0.0 or self.alpha * self.eps_p > 1.0 else "eps_p")
 
     @property
     def shape(self) -> float:
@@ -58,7 +69,7 @@ def fpt_density(params: FptParams, t):
     scalar = t_arr.ndim == 0
     if scalar:
         if t_arr <= 0.0:
-            raise DomainError("density is supported on t > 0")
+            raise ParameterError("density is supported on t > 0")
         t_arr = t_arr[None]
     alpha, s = params.alpha, params.eps_p
     out, pos = _moderate(t_arr, 0.0, 0.0)
@@ -168,5 +179,5 @@ def renewal_mgf_bound(gamma: float, alpha: float, epsilon: float, p: float,
             continue  # an infinite candidate is never the minimum
         best = min(best, bound)
     if not math.isfinite(best):
-        raise BoundSearchError("no admissible exponential-moment multiplier found")
+        raise ParameterError("no admissible exponential-moment multiplier found")
     return best

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cadlag import CadlagPath
-from .errors import InvalidInputError, ParameterError, ResolutionError, RunawayError
+from .errors import DataError, ParameterError
 from .fpt import FptParams, fpt_tail_bound
 from .system import SimulationGrid, SystemSpec, polar_path, simulation_grid
 
@@ -195,7 +195,7 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int
             frac = (alpha - th_state) / (th_prop - th_state)
             k = counts[idx]
             if np.any(k >= n_max):
-                raise RunawayError(f"impulse count exceeded the cap of {n_max}")
+                raise ParameterError(f"impulse count exceeded the cap of {n_max}")
             tau[idx, k] = t_end - rem * (1.0 - frac)
             r_pre = r_state + frac * (r_prop - r_state)
             r_state = np.asarray(reset(r_pre), dtype=float)
@@ -246,7 +246,7 @@ class BatchResult:
 
     def __post_init__(self):
         if not self.levels or len(self) % len(self.levels):
-            raise InvalidInputError("the columns must split evenly over the noise levels")
+            raise DataError("the columns must split evenly over the noise levels")
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -283,7 +283,7 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     if _count(n_replicas, "n_replicas") < 1:
         raise ParameterError("need at least one replica", field="n_replicas")
     if dt > spec.alpha / 200.0:
-        raise ResolutionError("stochastic step size must not exceed alpha/200")
+        raise ParameterError("stochastic step size must not exceed alpha/200")
     grid = simulation_grid(spec.alpha, horizon, dt)
     n_max = 10 * int(math.ceil(horizon / spec.alpha)) if n_max is None else _count(n_max, "n_max")
     scale = np.sqrt(grid.steps)

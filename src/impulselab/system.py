@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .cadlag import CadlagPath, assemble_from_grid
-from .errors import HorizonError, ParameterError, ResolutionError
+from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
 _PROBE_POINTS = 161
@@ -308,14 +308,18 @@ class SimulationGrid:
 def simulation_grid(alpha: float, horizon: float, dt: float) -> SimulationGrid:
     """Segment-aligned grid: uniform steps of dt, shortened to land on k*alpha."""
     if not dt > 0:
-        raise ResolutionError("step size must be positive")
+        raise ParameterError("step size must be positive")
     q = horizon / alpha
     n = int(math.floor(q + 1e-12)) if math.isfinite(q) else 0
     if n < 1 or not (1e-9 < q - n < 1 - 1e-9):
-        raise HorizonError(
+        raise ParameterError(
             "horizon must lie strictly between consecutive impulse times "
             f"(got T={horizon!r}, alpha={alpha!r})"
         )
+    if not horizon / dt < np.iinfo(np.intp).max // 8:
+        # Checked before np.arange, which cannot size that many float64 steps.
+        raise ParameterError(f"dt={dt!r} gives more grid steps than an array can hold",
+                             field="dt")
     ends = np.append(alpha * np.arange(1, n + 1), horizon)
     times = [0.0]
     boundary_indices = []
@@ -398,7 +402,7 @@ def deterministic_trajectory(spec: SystemSpec, horizon: float, dt: float) -> Cad
     interval with at least one impulse before it.
     """
     if dt > spec.alpha / 100.0:
-        raise ResolutionError("step size must not exceed alpha/100")
+        raise ParameterError("step size must not exceed alpha/100")
     grid = simulation_grid(spec.alpha, horizon, dt)
     return solution_to_path(integrate_deterministic(spec, grid))
 

@@ -11,10 +11,9 @@ import impulselab.cadlag as cadlag
 import impulselab.experiments as experiments
 import impulselab.stochastic as stochastic
 from impulselab import (
-    AlignmentError,
     BatchResult,
+    DataError,
     ExperimentConfig,
-    InvalidInputError,
     NoiseParams,
     SystemSpec,
     build_aligning_distortion,
@@ -243,19 +242,19 @@ def test_good_row_needs_n_increasing_impulses(acceptance_batch):
     broken = BatchResult(grid=batch.grid, r_values=batch.r_values,
                          theta_values=batch.theta_values, tau=tau, pre=batch.pre,
                          post=batch.post, counts=batch.counts, levels=batch.levels)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="one increasing impulse time per"):
         batch_skorohod_upper(det, broken, forced)
 
 
 def test_kernel_refuses_a_malformed_mask_or_trace(acceptance_batch):
     spec, det, batch, good = acceptance_batch
     for mask in (good.astype(int), good[:-1], good[None, :]):
-        with pytest.raises(InvalidInputError, match="bool array"):
+        with pytest.raises(DataError, match="bool array"):
             batch_skorohod_upper(det, batch, mask)
     values, pre = fluctuation_trace(spec, det, batch.w_increments)
     wide = np.hstack([values, values]), np.hstack([pre, pre])
     for trace in (wide, (values[:-1], pre), (values, pre[:1]), (values, pre, pre), (values,)):
-        with pytest.raises(InvalidInputError, match="trace arrays"):
+        with pytest.raises(DataError, match="trace arrays"):
             batch_skorohod_upper(det, batch, good, trace)
 
 
@@ -264,7 +263,7 @@ def test_batch_on_another_grid_is_refused(acceptance_batch):
     coarse = simulate_batch(spec, NoiseParams(epsilon=0.2, p=2.0), 4.0, 2e-3, 0, 3)
     nudged = replace(batch, grid=replace(batch.grid, times=np.nextafter(batch.grid.times, 5.0)))
     for other, mask in ((coarse, np.zeros(3, dtype=bool)), (nudged, good)):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DataError, match="different grids"):
             batch_skorohod_upper(det, other, mask)
 
 

@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 
 from impulselab import (
     CadlagPath,
-    ComplexityGuardError,
-    InvalidDistortionError,
-    InvalidInputError,
+    DataError,
     ParameterError,
-    ShapeError,
     TimeDistortion,
     aligning_cost_bound,
     aligning_slope_deviation_bound,
@@ -79,7 +76,7 @@ class TestCadlagPath:
             path.values_at([0.4], side="middle")
 
     def test_segments_must_tile_interval(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="must tile"):
             CadlagPath(
                 [
                     (np.array([0.0, 0.3]), np.array([0.0, 0.0])),
@@ -88,7 +85,7 @@ class TestCadlagPath:
             )
 
     def test_first_segment_must_start_at_zero(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="start at time 0"):
             CadlagPath([(np.array([0.1, 1.0]), np.array([0.0, 0.0]))])
 
     def test_jump_times_must_match_segment_starts(self):
@@ -116,7 +113,7 @@ class TestCadlagPath:
             "inner point segment"])
     def test_malformed_segments_rejected(self, segments, message):
         segments = [(np.array(t), np.array(v)) for t, v in segments]
-        with pytest.raises(ShapeError, match=message):
+        with pytest.raises(DataError, match=message):
             CadlagPath(segments)
 
 
@@ -138,17 +135,17 @@ class TestTimeDistortion:
         assert distortion_cost(lam) == pytest.approx(math.log(1.25), abs=1e-12)
 
     def test_nonincreasing_knots_rejected(self):
-        with pytest.raises(InvalidDistortionError):
+        with pytest.raises(DataError, match="must strictly increase"):
             TimeDistortion(np.array([0.0, 0.5, 0.4, 1.0]), np.array([0.0, 0.3, 0.6, 1.0]))
-        with pytest.raises(InvalidDistortionError):
+        with pytest.raises(DataError, match="must strictly increase"):
             TimeDistortion(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, 1.0]))
 
     def test_must_fix_endpoints(self):
-        with pytest.raises(InvalidDistortionError, match=">= 2 knots"):
+        with pytest.raises(DataError, match=">= 2 knots"):
             TimeDistortion(np.array([0.0]), np.array([0.0]))
-        with pytest.raises(InvalidDistortionError):
+        with pytest.raises(DataError, match="fix time 0"):
             TimeDistortion(np.array([0.0, 1.0]), np.array([0.1, 1.0]))
-        with pytest.raises(InvalidDistortionError):
+        with pytest.raises(DataError, match="fix the horizon"):
             TimeDistortion(np.array([0.0, 1.0]), np.array([0.0, 0.9]))
 
     def test_apply_inverse_round_trip(self):
@@ -186,15 +183,15 @@ class TestSkorohodUpper:
         assert uniform_distance(x1, x2) == pytest.approx(5.0, abs=1e-12)
 
     def test_mismatched_horizon_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="same horizon"):
             skorohod_upper(constant_path(0.0, 1.0), constant_path(0.0, 2.0),
                            TimeDistortion.identity(1.0))
-        with pytest.raises(ShapeError, match="distortion horizon"):
+        with pytest.raises(DataError, match="distortion horizon"):
             skorohod_upper(constant_path(0.0, 1.0), constant_path(0.0, 1.0),
                            TimeDistortion.identity(2.0))
 
     def test_mismatched_dimension_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="same state dimension"):
             skorohod_upper(constant_path(0.0, dim=1), constant_path(0.0, dim=2),
                            TimeDistortion.identity(1.0))
 
@@ -257,7 +254,7 @@ class TestSkorohodOracle:
             segs.append((t, np.array([float(k), float(k)])))
         ragged = CadlagPath([(np.array([0.0, 1.0]), np.array([0.0, 0.0]))])
         many = CadlagPath(segs)
-        with pytest.raises(ComplexityGuardError):
+        with pytest.raises(DataError, match="at most 4 jumps"):
             skorohod_oracle(many, ragged)
 
     def test_large_resolution_refused_before_allocating(self):
@@ -266,7 +263,7 @@ class TestSkorohodOracle:
                                                                          abs=1e-3)
         tracemalloc.start()
         try:
-            with pytest.raises(ComplexityGuardError, match="more than 10000 distortions"):
+            with pytest.raises(DataError, match="more than 10000 distortions"):
                 skorohod_oracle(x1, x2, resolution=2 ** 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -279,7 +276,7 @@ class TestSkorohodOracle:
         # Offsets this fine collapse after rounding: at 2**50 their grid would
         # not fit in memory, and at 2**62 np.arange overflows to no offsets.
         x1, x2 = step_path(0.4, 1.0), step_path(0.5, 1.0)
-        with pytest.raises(ComplexityGuardError, match="more than 10000 distortions"):
+        with pytest.raises(DataError, match="more than 10000 distortions"):
             skorohod_oracle(x1, x2, resolution=resolution)
 
     def test_resolution_floor(self):
@@ -307,23 +304,23 @@ class TestAligningDistortion:
         assert distortion_cost(lam) == 0.0
 
     def test_ordering_violations_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="strictly increasing and positive"):
             build_aligning_distortion([1.0, 2.0], [1.9, 1.1], 2.5, good=True)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="precede the horizon"):
             build_aligning_distortion([1.0, 2.0], [1.0, 2.6], 2.5, good=True)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="one noisy impulse time per"):
             build_aligning_distortion([1.0, 2.0], [1.0], 2.5, good=True)
-        with pytest.raises(InvalidInputError, match="must be positive"):
+        with pytest.raises(DataError, match="must be positive"):
             build_aligning_distortion([0.0, 1.0], [0.1, 1.0], 2.5, good=True)
-        with pytest.raises(InvalidInputError, match="must be k\\*alpha"):
+        with pytest.raises(DataError, match="must be k\\*alpha"):
             build_aligning_distortion([1.0, 2.5], [1.0, 2.4], 2.8, good=True)
 
     def test_large_deviations_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="below alpha/4"):
             build_aligning_distortion([1.0, 2.0], [1.3, 2.0], 2.5, good=True)
 
     def test_horizon_between_impulse_counts(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(DataError, match="strictly between impulse counts"):
             build_aligning_distortion([1.0, 2.0], [1.02, 1.98], 2.0, good=True)
 
 
@@ -337,8 +334,12 @@ class TestAligningBounds:
         )
 
     def test_slope_bound_rejects_multiple_horizon(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ParameterError, match="multiple of alpha"):
             aligning_slope_deviation_bound(0.1, 1.0, 3.0)
+
+    def test_slope_bound_rejects_an_overflowing_ratio(self):
+        with pytest.raises(ParameterError, match="horizon/alpha must be finite"):
+            aligning_slope_deviation_bound(0.1, 1e-300, 1e300)
 
     @pytest.mark.parametrize("bound", [aligning_cost_bound, aligning_slope_deviation_bound])
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["delta", "alpha", "horizon"])

@@ -279,6 +279,13 @@ class TestCliCommands:
             assert main([command, "--horizon", str(math.pi), "--out",
                          str(tmp_path / "x.csv")]) == 3
 
+    def test_trajectory_refuses_a_grid_no_array_holds(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["trajectory", "--dt", "1e-300", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: dt=1e-300 gives more grid steps than an array can hold\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "fluctuation"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
         assert main([command, "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
@@ -352,6 +359,10 @@ class TestCliCommands:
         ("1.0", "0", "--eps-p: angular noise scale must lie in (0, 1)"),
         ("1.0", "1.5", "--eps-p: angular noise scale must lie in (0, 1)"),
         ("1.0", "nan", "--eps-p: angular noise scale must lie in (0, 1)"),
+        ("1.0", "1e-170", "--eps-p: shape alpha^2/eps_p^2 must be a positive finite float, "
+                          "got alpha=1.0, eps_p=1e-170"),
+        ("1e160", "0.5", "--alpha: shape alpha^2/eps_p^2 must be a positive finite float, "
+                         "got alpha=1e+160, eps_p=0.5"),
     ])
     def test_fpt_errors_name_their_flag(self, tmp_path, capsys, alpha, eps_p, message):
         out = tmp_path / "fpt.csv"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from impulselab import (
-    AlignmentError,
     BrownianRecord,
+    DataError,
     ParameterError,
     ResetModel,
     SystemSpec,
@@ -115,9 +115,9 @@ class TestFluctuationTrace:
 
     def test_increment_count_checked(self, unit_setup):
         spec, _, det, record = unit_setup
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DataError, match=r"\(n_steps, M\) columns"):
             fluctuation_trace(spec, det, record.w_increments[:-10, None])
-        with pytest.raises(AlignmentError, match=r"\(n_steps, M\) columns"):
+        with pytest.raises(DataError, match=r"\(n_steps, M\) columns"):
             fluctuation_trace(spec, det, record.w_increments)
 
 
@@ -132,7 +132,7 @@ class TestFluctuationPath:
     def test_grid_mismatch_rejected(self, unit_setup):
         spec, _, det, _ = unit_setup
         coarse = simulation_grid(1.0, 2.5, 2e-3)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DataError, match=r"\(n_steps, M\) columns"):
             fluctuation_path(spec, det, BrownianRecord.generate(
                 coarse, replica_seed_sequence(1, 0), 8).w_increments)
 
@@ -181,5 +181,5 @@ class TestFirstOrderApproximation:
         values, pre = one_trace(spec, det, record.w_increments)
         other_grid = simulation_grid(1.0, 2.5, 2e-3)
         other_det = integrate_deterministic(spec, other_grid)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DataError, match="different grids"):
             first_order_on_grid(other_det, values, pre, 0.1)

@@ -8,8 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from impulselab import (
-    BoundSearchError,
-    DomainError,
     FptParams,
     ParameterError,
     derived_tail_constant,
@@ -44,6 +42,15 @@ class TestFptParams:
         with pytest.raises(ParameterError):
             FptParams(alpha=1.0, eps_p=1.0)
 
+    @pytest.mark.parametrize("alpha, eps_p, field", [
+        (1.0, 1e-170, "eps_p"), (1.0, 1e-155, "eps_p"), (1e160, 0.5, "alpha"),
+        (1e-320, 0.2, "alpha"),
+    ], ids=["zero division", "infinite", "overflow", "zero"])
+    def test_shape_must_be_a_positive_finite_float(self, alpha, eps_p, field):
+        with pytest.raises(ParameterError, match="must be a positive finite float") as info:
+            FptParams(alpha, eps_p)
+        assert info.value.field == field
+
 
 class TestDensity:
     def test_peak_value_closed_form(self):
@@ -64,9 +71,9 @@ class TestDensity:
 
     def test_scalar_nonpositive_is_domain_error(self):
         params = FptParams(alpha=1.0, eps_p=0.2)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match="supported on t > 0"):
             fpt_density(params, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match="supported on t > 0"):
             fpt_density(params, -1.0)
 
     def test_array_nonpositive_entries_are_zero(self):
@@ -78,7 +85,7 @@ class TestDensity:
         params = FptParams(alpha=1.0, eps_p=0.2)
         assert fpt_density(params, math.inf) == 0.0
         assert math.isnan(fpt_density(params, math.nan))
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match="supported on t > 0"):
             fpt_density(params, -math.inf)
         out = fpt_density(params, np.array([math.inf, -math.inf, math.nan, 1.0]))
         np.testing.assert_array_equal(out[:3], [0.0, 0.0, math.nan])
@@ -257,7 +264,7 @@ class TestRenewalBound:
         assert renewal_mgf_bound(gamma, 1.0, 0.5, 2.0, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_no_finite_candidate_is_a_search_error(self):
-        with pytest.raises(BoundSearchError):
+        with pytest.raises(ParameterError, match="no admissible"):
             renewal_mgf_bound(50.0, 1.0, 0.5, 2.0, 1.0)
 
     def test_gamma_must_be_positive(self):

@@ -1,6 +1,7 @@
 """Every name the package and its tests import is read somewhere, every
-private name a package module defines is read in that module, and no package
-module reaches into another's private names."""
+private name a package module defines is read in that module, no package
+module reaches into another's private names, and every error class is one
+that some caller catches by name."""
 
 import ast
 import importlib.util
@@ -280,3 +281,42 @@ def test_every_parameter_is_read():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def uncaught_error_classes(sources) -> list[str]:
+    """Subclasses of `ImpulseLabError`, direct or not, that the modules in
+    `sources` define and none of their `except` clauses names, in order of
+    definition."""
+    trees = [ast.parse(source) for source in sources]
+    classes = [(node.name, {base.id for base in node.bases if isinstance(base, ast.Name)})
+               for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    family = {"ImpulseLabError"}
+    while grown := {name for name, bases in classes if bases & family} - family:
+        family |= grown
+    caught = {getattr(name, "id", None) or getattr(name, "attr", None)
+              for tree in trees for handler in ast.walk(tree)
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+              for name in ast.walk(handler.type)}
+    return [name for name, bases in classes if bases & family and name not in caught]
+
+
+def test_uncaught_error_classes_finds_what_no_handler_names():
+    errors = ("class ImpulseLabError(Exception): pass\n"
+              "class GuardError(TableError): pass\n"
+              "class ConfigError(ImpulseLabError): pass\n"
+              "class TableError(ConfigError): pass\n"
+              "class DataError(ImpulseLabError): pass\n"
+              "class Unrelated(Exception): pass\n")
+    caller = ("try:\n    run()\nexcept (errors.ConfigError, OSError):\n    pass\n"
+              "except DataError as exc:\n    raise GuardError(str(exc))\n"
+              "except Unrelated:\n    pass\n")
+    # A subclass defined before its base still counts.
+    assert uncaught_error_classes([errors, caller]) == ["GuardError", "TableError"]
+
+
+def test_every_error_class_is_caught_by_name():
+    """An error class marks a decision some caller makes on its type; one that
+    no `except` clause in the package names is one no caller tells apart."""
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(ROOT.glob("src/impulselab/**/*.py"))]
+    assert uncaught_error_classes(sources) == []

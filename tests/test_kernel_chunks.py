@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import impulselab.cadlag as cadlag
 import impulselab.experiments as experiments
 from impulselab import (
+    DataError,
     DeterministicSolution,
     ExperimentConfig,
-    InvalidInputError,
     NoiseParams,
     ParameterError,
     SimulationGrid,
@@ -187,7 +187,7 @@ def test_good_set_mask_refuses_a_bad_count_or_delta_length(level_batch):
 
 def test_columns_must_split_over_the_levels(level_batch):
     spec, det, batch, good, trace, m = level_batch
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError, match="split evenly"):
         replace(batch, levels=batch.levels[:3])
 
 

@@ -13,8 +13,6 @@ from impulselab import (
     BrownianRecord,
     NoiseParams,
     ParameterError,
-    ResolutionError,
-    RunawayError,
     SystemSpec,
     classify_good_set,
     constant_drift,
@@ -357,12 +355,12 @@ class TestPathStructure:
         assert float(batch.theta_values.min()) > -0.05 * ALPHA
 
     def test_runaway_cap(self, halving_spec, noise):
-        with pytest.raises(RunawayError):
+        with pytest.raises(ParameterError, match="cap of 1"):
             simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
                            master_seed=0, n_replicas=4, n_max=1)
 
     def test_coarse_step_rejected(self, halving_spec, noise):
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ParameterError, match="alpha/200"):
             simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 100,
                            master_seed=0, n_replicas=1)
 

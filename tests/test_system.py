@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impulselab import (
-    HorizonError,
     ParameterError,
-    ResolutionError,
     SystemSpec,
     constant_drift,
     deterministic_trajectory,
@@ -127,22 +126,35 @@ class TestDeterministicTrajectory:
         assert sup <= 2.0 + 1e-12
 
     def test_horizon_on_impulse_rejected(self, halving_unit_spec):
-        with pytest.raises(HorizonError):
+        with pytest.raises(ParameterError, match="strictly between consecutive"):
             deterministic_trajectory(halving_unit_spec, horizon=2.0, dt=1e-3)
 
     def test_horizon_before_first_impulse_rejected(self, halving_unit_spec):
-        with pytest.raises(HorizonError):
+        with pytest.raises(ParameterError, match="strictly between consecutive"):
             deterministic_trajectory(halving_unit_spec, horizon=0.5, dt=1e-3)
 
-    @pytest.mark.parametrize("horizon, dt, error", [
-        (np.nan, 1e-3, HorizonError), (np.inf, 1e-3, HorizonError), (2.5, np.nan, ResolutionError),
-    ])
-    def test_grid_rejects_values_that_are_not_finite(self, horizon, dt, error):
-        with pytest.raises(error):
+    @pytest.mark.parametrize("horizon, dt, message", [
+        (np.nan, 1e-3, "strictly between consecutive"),
+        (np.inf, 1e-3, "strictly between consecutive"),
+        (2.5, np.nan, "step size must be positive"),
+    ], ids=["horizon nan", "horizon inf", "dt nan"])
+    def test_grid_rejects_values_that_are_not_finite(self, horizon, dt, message):
+        with pytest.raises(ParameterError, match=message):
             simulation_grid(1.0, horizon, dt)
 
+    def test_grid_too_fine_for_an_array_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="more grid steps than an array") as info:
+                simulation_grid(np.pi / 2, 4.0, 1e-300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.field == "dt"
+        assert peak < 1_000_000
+
     def test_coarse_step_rejected(self, halving_unit_spec):
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ParameterError, match="alpha/100"):
             deterministic_trajectory(halving_unit_spec, horizon=2.5, dt=0.02)
 
     def test_path_jump_times_match_schedule(self, halving_unit_spec):
