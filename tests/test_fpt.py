@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from impulselab import (
@@ -17,6 +20,7 @@ from impulselab import (
     fpt_tail_bound,
     renewal_mgf_bound,
 )
+from impulselab.fpt import _erfcx
 
 
 def density_fn(params):
@@ -159,8 +163,7 @@ class TestCdf:
         assert out[4].view(np.int64) == fpt_cdf(params, np.array([0.8]))[0].view(np.int64)
 
     def test_survives_huge_shape(self):
-        # shape 2.47e9: the exp(2*shape/mean) factor overflows unless the
-        # product is taken in log space
+        # shape 2.47e9: the textbook form's exp(2*shape/mean) factor overflows
         params = FptParams(alpha=math.pi / 2, eps_p=1e-4)
         val = fpt_cdf(params, math.pi / 2)
         assert 0.49 < val < 0.51
@@ -172,6 +175,34 @@ class TestCdf:
         for t in (0.6, 0.9, 1.0, 1.3, 2.0):
             slope = (fpt_cdf(params, t + h) - fpt_cdf(params, t - h)) / (2 * h)
             assert slope == pytest.approx(fpt_density(params, t), rel=1e-6)
+
+    # mpmath values of F (60 digits) on either side of alpha = 1. The textbook
+    # form's factor exp(2*shape/alpha) is exp(2e22) and exp(2e308) here.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps_p, want", [
+        (1e-11, [0.022750123012905615, 0.50000000000199471, 0.97724987698547466]),
+        (1e-154, [0.0, 0.5, 1.0]),
+    ])
+    def test_tiny_noise(self, eps_p, want):
+        got = fpt_cdf(FptParams(1.0, eps_p), np.array([0.99999999998, 1.0, 1.00000000002]))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_subnormal_lower_tail(self):
+        # mpmath values; a subnormal near 1e-313 carries about 10 digits.
+        got = fpt_cdf(FptParams(1.5707963, 0.04), np.array([0.5, 0.50125, 0.6]))
+        np.testing.assert_allclose(got[:2], [9.4617289984984919e-314, 3.001074252695162e-312],
+                                   rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got[2], 1.2263827036922348e-215, rtol=1e-12, atol=0.0)
+
+
+@given(st.lists(st.floats(0.0, 1e300) | st.just(math.inf), min_size=1, max_size=40))
+@example([0.0, 0.46875, np.nextafter(0.46875, 1.0), 4.0, np.nextafter(4.0, 5.0), 1.4e154,
+          1e300, math.inf])
+def test_erfcx_matches_scipy(zs):
+    """Cody's approximations in numpy agree with scipy's erfcx to 4e-15
+    relative (1.1e-15 at worst over 4e6 draws), 0 at +inf."""
+    z = np.array(zs)
+    np.testing.assert_allclose(_erfcx(z), special.erfcx(z), rtol=4e-15, atol=0.0)
 
 
 class TestTailBound:
@@ -278,14 +309,51 @@ class TestRenewalBound:
                 renewal_mgf_bound(0.5, 1.0, 0.1, 2.0, t)
 
 
-def test_moderate_arguments_keep_their_bits():
-    """Density and distribution function on 7002 points in [0.01, 1000] at
-    three parameter pairs, as sha256 of their bytes; recorded before the
-    extreme arguments took the limits."""
-    ts = np.concatenate([np.logspace(-2, 3, 5001), np.linspace(0.05, 5.0, 2001)])
+# The digests below hash 7002 points in [0.01, 1000] at three parameter pairs;
+# CDF_REFERENCES holds mpmath values of F (60 digits) at every 250th point.
+DIGEST_TIMES = np.concatenate([np.logspace(-2, 3, 5001), np.linspace(0.05, 5.0, 2001)])
+CDF_REFERENCES = {
+    (1.0, 0.2): [
+        0, 6.4782155260896835e-297, 2.9415690572634365e-163, 3.9203681904243832e-88,
+        5.4101905097191636e-46, 1.5946781671730117e-22, 9.2061084593640705e-10,
+        0.0022978442779278065, 0.53950669410138596, 0.99877653825444168, 0.99999999971646281,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0.025256780529726637, 0.91344368638255313,
+        0.99964795961499908, 0.99999954519128498, 0.99999999963696307, 0.99999999999977196,
+        0.99999999999999989, 1,
+    ],
+    (math.pi / 2, 0.05): [
+        0, 0, 0, 0, 0, 0, 0, 1.80537622877272e-159, 2.1301701425014691e-30, 0.9991329424113442,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 5.5318225015754519e-109, 2.5438654513880811e-07,
+        0.99999937466027422, 1, 1, 1, 1, 1,
+    ],
+    (0.3, 0.9): [
+        0.0012361295757000014, 0.017845735234077263, 0.086907559023674211, 0.22641639401755292,
+        0.40879153737019053, 0.59192886848447623, 0.74706035606682153, 0.86241582155049457,
+        0.93750806888324023, 0.97837129990514271, 0.99515041570486651, 0.99947128877380753,
+        0.99998317254587188, 0.99999993709231672, 0.99999999999456624, 1, 1, 1, 1, 1, 1,
+        0.8885494974094259, 0.95899499992607773, 0.98138927451626978, 0.99067763747319704,
+        0.99504890833735171, 0.99726557687731443, 0.99844668728962749, 0.99909861974455327,
+    ],
+}
+
+
+def _digest(fn) -> str:
     digest = hashlib.sha256()
-    for alpha, eps_p in ((1.0, 0.2), (math.pi / 2, 0.05), (0.3, 0.9)):
-        params = FptParams(alpha, eps_p)
-        digest.update(fpt_density(params, ts).tobytes())
-        digest.update(fpt_cdf(params, ts).tobytes())
-    assert digest.hexdigest() == "c4806d1f97595f4d31790fae40e95719e8e26ca99e4b37ee1eed3edca765cc0c"
+    for alpha, eps_p in CDF_REFERENCES:
+        digest.update(fn(FptParams(alpha, eps_p), DIGEST_TIMES).tobytes())
+    return digest.hexdigest()
+
+
+def test_density_keeps_its_bits():
+    assert _digest(fpt_density) == "6e948f60d608641075ebc0ea230cfd0114d45ff2aef427dc267ac14763e24ac6"
+
+
+def test_cdf_keeps_its_bits():
+    """Recorded with the erfcx form of fpt_cdf."""
+    assert _digest(fpt_cdf) == "4c60102a44e9eb7476db4cde4018a0dae44425985a47cd9225fb78e6f8ccb138"
+
+
+def test_cdf_matches_mpmath_on_the_digest_grid():
+    for (alpha, eps_p), want in CDF_REFERENCES.items():
+        got = fpt_cdf(FptParams(alpha, eps_p), DIGEST_TIMES[::250])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

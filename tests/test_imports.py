@@ -1,7 +1,7 @@
 """Every name the package and its tests import is read somewhere, every
 private name a package module defines is read in that module, no package
-module reaches into another's private names, and every error class is one
-that some caller catches by name."""
+module reaches into another's private names or imports scipy, and every
+error class is one that some caller catches by name."""
 
 import ast
 import importlib.util
@@ -184,6 +184,43 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         names = private_sibling_imports(path.read_text(encoding="utf-8"))
         if names:
             found[str(path.relative_to(ROOT))] = names
+    assert found == {}
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Line numbers of the imports of scipy or a scipy module, at any depth of
+    the tree, in order of appearance."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "scipy" for module in modules):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scipy_imports_finds_every_form():
+    source = ("import numpy as np, scipy.special\n"
+              "from scipy import integrate\n"
+              "from . import scipy\n"
+              "import scipyx\n"
+              "def fit():\n"
+              "    from scipy.interpolate import PchipInterpolator\n"
+              "    import scipy as sp\n")
+    assert scipy_imports(source) == [1, 2, 6, 7]
+
+
+def test_no_module_imports_scipy():
+    """The package runs on numpy alone; scipy is a test dependency."""
+    found = {}
+    for path in sorted(ROOT.glob("src/impulselab/**/*.py")):
+        lines = scipy_imports(path.read_text(encoding="utf-8"))
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
     assert found == {}
 
 
