@@ -265,8 +265,9 @@ def build_aligning_distortion(det_times, stoch_times, horizon: float, good: bool
 
 
 # Query points scored at once by batch_skorohod_upper. About fifteen float
-# arrays of this length are alive per block, so a block's temporaries stay
-# near 4 MB whatever the replica count.
+# arrays of this length are alive per block, so a block's temporaries do not
+# grow with the replica count: tracemalloc measures 5.7 MB above the live
+# chunk at the acceptance configuration (T = 4, dt = 1e-3, 8-column blocks).
 _POINT_BUDGET = 1 << 15
 _NO_JUMPS = np.empty(0, dtype=np.intp)
 
@@ -546,7 +547,7 @@ def batch_skorohod_upper(det, batch, good, trace=None):
     for lo in range(0, m, size):
         rows = slice(lo, min(m, lo + size))
         block = _ReplicaBlock(grid, np.ascontiguousarray(batch.r_values[:, rows].T),
-                              np.ascontiguousarray(batch.theta_values[:, rows].T), tau[rows],
+                              batch.theta_rows(np.arange(lo, rows.stop)), tau[rows],
                               batch.pre[rows], batch.post[rows], counts[rows], good[rows])
         firsts = [[np.broadcast_to(a, (rows.stop - lo, a.shape[0])) for a in grid.det]]
         if trace is not None:

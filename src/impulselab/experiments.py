@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,6 +184,7 @@ def _run(config: ExperimentConfig, spec: SystemSpec, compute_refined: bool):
         batch = simulate_batch(spec, levels, config.horizon, config.dt, config.master_seed,
                                count, replica_offset=offset, store_increments=compute_refined)
         trace = fluctuation_trace(spec, det, batch.w_increments) if compute_refined else None
+        batch = replace(batch, w_increments=None)  # the kernel does not read them
         good = good_set_mask(batch.tau, batch.counts, spec.alpha, grid.n_impulses,
                              np.repeat(deltas, count))
         bad += count - np.count_nonzero(good.reshape(n_eps, count), axis=1)

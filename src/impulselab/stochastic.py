@@ -12,8 +12,11 @@ master seed and the replica index, which makes every result reproducible and
 independent of chunking or scheduling order. The expansion x + epsilon*Z is
 pathwise, so one record drives a replica at every noise level: a batch can
 hold several levels, drawn once and advanced together in one step loop. The
-draws are scaled into rows 1..n of the path arrays of every level before the
-loop starts, and each step adds the drift part to the row already there.
+radial draws are scaled into rows 1..n of the radius array of every level
+before the loop starts, and each step adds the drift part to the row already
+there. The angle does not depend on the radius, so a batch stores each replica's
+angular increments once, with the angle at the end of each step that holds an
+impulse, and rebuilds any column's angle from them on demand.
 """
 
 from __future__ import annotations
@@ -127,6 +130,7 @@ def _draw_block(seqs, scale: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 
 _NOISE_BLOCK = 32  # replicas drawn into one reused (2, block, n_steps) buffer
+_THETA_WINDOW = 16  # angle rows the step loop fills ahead from the increments
 
 
 def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int,
@@ -137,17 +141,19 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int
     at most `_NOISE_BLOCK` replicas get their noise from ``draw(start, stop,
     w, b, aux_w, aux_b)``, which fills row k for replica ``start + k``:
     step-scaled increments in `w` and `b`, unit draws in the n_max aux rows.
-    Each level scales the reused `w` and `b` blocks into rows j+1 of its
-    columns; each step then adds the drift part ``r + b(r)*h`` and
-    ``theta + h`` there, and only the columns whose proposed angle reaches
-    alpha go through the impulse loop.
+    Each level scales the reused `w` block into rows j+1 of its radius
+    columns, and `b` is stored once per replica. The angle lives in a window
+    of `_THETA_WINDOW` rows, scaled ahead from the stored `b`; each step then
+    adds the drift part ``r + b(r)*h`` and ``theta + h`` to the row already
+    there, and only the columns whose proposed angle reaches alpha go through
+    the impulse loop.
     """
     times, steps = grid.times, grid.steps
     n, c = steps.shape[0], len(levels) * m
     eps = np.array([lv.epsilon for lv in levels])
     eps_ang = np.array([lv.angular_scale for lv in levels])
     r_path = np.empty((n + 1, c))
-    th_path = np.empty_like(r_path)
+    b_stored = np.empty((n, m))
     aux_w, aux_b = np.empty((2, m, n_max))
     w_stored = np.empty((n, m)) if store_increments else None
     blocks = np.empty((2, _NOISE_BLOCK, n))
@@ -157,26 +163,35 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int
         draw(start, stop, w, b, aux_w[start:stop], aux_b[start:stop])
         for e in range(len(levels)):
             np.multiply(w.T, eps[e], out=r_path[1:, e * m + start: e * m + stop])
-            np.multiply(b.T, eps_ang[e], out=th_path[1:, e * m + start: e * m + stop])
+        b_stored[:, start:stop] = b.T
         if w_stored is not None:
             w_stored[:, start:stop] = w.T
+    del blocks, w, b
     eps_col, eps_ang_col = np.repeat(eps, m), np.repeat(eps_ang, m)
     alpha = grid.alpha
     drift, reset = spec.drift, spec.reset
 
     r_path[0] = spec.r0
-    th_path[0] = 0.0
+    window = np.empty((_THETA_WINDOW + 1, len(levels), m))
+    th_rows = window.reshape(_THETA_WINDOW + 1, c)
     tau = np.full((c, n_max), np.nan)
     pre = np.full((c, n_max), np.nan)
     post = np.full((c, n_max), np.nan)
+    jump_step = np.full((c, n_max), -1, dtype=np.intp)
+    theta_end = np.full((c, n_max), np.nan)
     counts = np.zeros(c, dtype=np.int64)
     move = np.empty(c)
     hits = np.empty(c, dtype=bool)
 
     for j in range(n):
+        row = j % _THETA_WINDOW
+        if row == 0:
+            th_rows[0] = th_rows[_THETA_WINDOW] if j else 0.0
+            ahead = b_stored[j: j + _THETA_WINDOW, None, :]
+            np.multiply(ahead, eps_ang[:, None], out=window[1: ahead.shape[0] + 1])
         h = float(steps[j])
-        r_now, th_now = r_path[j], th_path[j]
-        r_next, th_next = r_path[j + 1], th_path[j + 1]
+        r_now, th_now = r_path[j], th_rows[row]
+        r_next, th_next = r_path[j + 1], th_rows[row + 1]
         np.multiply(np.asarray(drift(r_now), dtype=float), h, out=move)
         move += r_now
         r_next += move
@@ -197,6 +212,7 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int
             if np.any(k >= n_max):
                 raise ParameterError(f"impulse count exceeded the cap of {n_max}")
             tau[idx, k] = t_end - rem * (1.0 - frac)
+            jump_step[idx, k] = j
             r_pre = r_state + frac * (r_prop - r_state)
             r_state = np.asarray(reset(r_pre), dtype=float)
             th_state = np.zeros(idx.size)
@@ -214,14 +230,15 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int
             cross = th_prop >= alpha
             done = ~cross
             r_next[idx[done]] = r_prop[done]
-            th_next[idx[done]] = th_prop[done]
+            th_next[idx[done]] = theta_end[idx[done], k[done]] = th_prop[done]
             if not cross.any():
                 break
             idx, rem = idx[cross], rem[cross]
             r_state, th_state = r_state[cross], th_state[cross]
             r_prop, th_prop = r_prop[cross], th_prop[cross]
-    return BatchResult(grid=grid, r_values=r_path, theta_values=th_path, tau=tau, pre=pre,
-                       post=post, counts=counts, levels=levels, w_increments=w_stored)
+    return BatchResult(grid=grid, r_values=r_path, b_increments=b_stored, tau=tau, pre=pre,
+                       post=post, counts=counts, jump_step=jump_step, theta_end=theta_end,
+                       levels=levels, w_increments=w_stored)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,16 +248,25 @@ class BatchResult:
     A batch of M replicas at the E noise levels `levels` has E*M columns:
     column ``e*M + i`` is the batch's i-th replica at ``levels[e]``, and a
     column count that does not split evenly over the levels is refused. The
-    stored radial increments are per replica, shared by all levels.
+    radius is stored per column. The angle is not: it is rebuilt by
+    :meth:`theta_rows` from the step-scaled angular increments, stored once
+    per replica and shared by all levels, and from the angle recorded at the
+    end of each step that holds an impulse. The radial increments are per
+    replica too, and stored only when asked for.
     """
 
     grid: SimulationGrid
     r_values: np.ndarray       # (n_steps + 1, E*M)
-    theta_values: np.ndarray   # (n_steps + 1, E*M)
+    b_increments: np.ndarray   # (n_steps, M)
     tau: np.ndarray            # (E*M, n_max), nan padded
     pre: np.ndarray
     post: np.ndarray
     counts: np.ndarray         # (E*M,)
+    # Per impulse: its grid step j, the one whose (t_j, t_j+1] holds it, -1
+    # padded; and the angle at that step's end, set on the step's last
+    # impulse and nan on an impulse that another follows in the same step.
+    jump_step: np.ndarray      # (E*M, n_max)
+    theta_end: np.ndarray      # (E*M, n_max)
     levels: tuple              # (E,) NoiseParams
     w_increments: np.ndarray | None = None  # (n_steps, M) when stored
 
@@ -254,9 +280,39 @@ class BatchResult:
     def impulse_times(self, i: int) -> np.ndarray:
         return self.tau[i, : self.counts[i]]
 
+    def theta_rows(self, columns) -> np.ndarray:
+        """Grid samples of the angle of the given columns, one row each:
+        (len(columns), n_steps + 1).
+
+        The step loop's arithmetic, theta_j+1 = (theta_j + h_j) + s_j with
+        s_j = epsilon^p * b_j, run as one running sum over the sequence 0,
+        h_0, s_0, h_1, s_1, ... that restarts at the angle recorded at the end
+        of each step that holds an impulse; so the rows are bitwise the loop's.
+        """
+        columns = np.asarray(columns, dtype=np.intp)
+        steps = self.grid.steps
+        n, m = self.b_increments.shape
+        scales = np.array([level.angular_scale for level in self.levels])
+        seq = np.empty((columns.shape[0], 2 * n + 1))
+        seq[:, 0] = 0.0
+        seq[:, 1::2] = steps
+        np.multiply(self.b_increments[:, columns % m].T, scales[columns // m, None],
+                    out=seq[:, 2::2])
+        for out, col in zip(seq, columns.tolist()):
+            count = int(self.counts[col])
+            lo = 0
+            # A step's later impulse writes over its earlier one's nan.
+            for j, theta in zip(self.jump_step[col, :count].tolist(),
+                                self.theta_end[col, :count].tolist()):
+                np.add.accumulate(out[lo: 2 * j + 2], out=out[lo: 2 * j + 2])
+                lo = 2 * j + 2
+                out[lo] = theta
+            np.add.accumulate(out[lo:], out=out[lo:])
+        return np.ascontiguousarray(seq[:, ::2])
+
     def path(self, i: int) -> CadlagPath:
         c = int(self.counts[i])
-        return polar_path(self.grid, self.r_values[:, i], self.theta_values[:, i],
+        return polar_path(self.grid, self.r_values[:, i], self.theta_rows([i])[0],
                           self.tau[i, :c], self.pre[i, :c], self.post[i, :c])
 
 
@@ -269,7 +325,10 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     the result records as its `levels`. Replica i draws once, from
     ``replica_seed_sequence(master_seed, replica_offset + i)``, and that draw
     drives it at every level: column ``e*n_replicas + i`` of the result is it
-    at ``levels[e]``, and the stored radial increments are (n_steps, n_replicas).
+    at ``levels[e]``. The result always holds the radius of every column, the
+    impulse data and the (n_steps, n_replicas) angular increments, from which
+    :meth:`BatchResult.theta_rows` rebuilds any column's angle;
+    `store_increments` adds the (n_steps, n_replicas) radial increments.
     Results are a pure function of (spec, level, horizon, dt, master_seed,
     replica index, n_max); chunk boundaries and the other levels do not
     affect them. `n_max` caps a replica's impulses; by default it is ten

@@ -1,6 +1,6 @@
 """The batched distance kernel against the per-replica oracle, skorohod_upper."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -138,6 +138,17 @@ def test_kernel_matches_oracle_on_a_simulated_path_without_impulses():
     np.testing.assert_array_equal(np.maximum(cost, sup), np.array(want), strict=True)
 
 
+@dataclass(frozen=True, eq=False)
+class HandBuiltBatch(BatchResult):
+    """A batch whose angles are given outright, (n_steps + 1, columns), not
+    rebuilt from increments."""
+
+    theta_values: np.ndarray = None
+
+    def theta_rows(self, columns):
+        return np.ascontiguousarray(self.theta_values[:, columns].T)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), first=st.integers(8, 12), on_grid=st.integers(1, 25),
        inside=st.integers(0, 24), fractions=st.lists(st.floats(0.01, 0.99), min_size=3,
@@ -178,9 +189,9 @@ def test_kernel_matches_oracle_on_hand_built_jumps(seed, first, on_grid, inside,
     for i, r in enumerate(rows):
         hit = np.isin(times, r)
         r_values[hit, i] = theta_values[hit, i] = 1e3
-    batch = BatchResult(grid=grid, r_values=r_values, theta_values=theta_values,
-                        tau=tau, pre=pre, post=post, counts=counts,
-                        levels=(NoiseParams(epsilon=eps, p=2.0),))
+    batch = HandBuiltBatch(grid=grid, r_values=r_values, b_increments=None, tau=tau, pre=pre,
+                           post=post, counts=counts, jump_step=None, theta_end=None,
+                           levels=(NoiseParams(epsilon=eps, p=2.0),), theta_values=theta_values)
     good = np.array([True, False, False, False])
     trace = (rng.normal(size=(n, m)), rng.normal(size=(2, m)))
     assert_matches_oracle(det, batch, good, trace, eps)
@@ -239,9 +250,7 @@ def test_good_row_needs_n_increasing_impulses(acceptance_batch):
     tau[row, 1] = 5.0  # beyond the horizon
     forced = good.copy()
     forced[row] = True
-    broken = BatchResult(grid=batch.grid, r_values=batch.r_values,
-                         theta_values=batch.theta_values, tau=tau, pre=batch.pre,
-                         post=batch.post, counts=batch.counts, levels=batch.levels)
+    broken = replace(batch, tau=tau)
     with pytest.raises(DataError, match="one increasing impulse time per"):
         batch_skorohod_upper(det, broken, forced)
 

@@ -191,18 +191,31 @@ def test_columns_must_split_over_the_levels(level_batch):
         replace(batch, levels=batch.levels[:3])
 
 
-def test_relevelling_a_batch_changes_only_its_refined_distances(level_batch):
-    """The kernel reads each block's epsilon from the batch: the same paths
-    labelled with other levels keep their distances to the deterministic path,
-    and every block's distances to det + epsilon * Z move."""
+def test_relevelling_a_batch_moves_its_angles_and_refined_distances(level_batch):
+    """The batch rebuilds each block's angle at, and the kernel reads each
+    block's epsilon from, the batch's levels: the same radii and impulses
+    labelled with other levels keep their costs and get other angles, and
+    the kernel scores those angles and epsilons in every block."""
     spec, det, batch, good, trace, m = level_batch
     cost, sup = batch_skorohod_upper(det, batch, good, trace)
     relevelled = replace(batch, levels=batch.levels[::-1])
     other_cost, other_sup = batch_skorohod_upper(det, relevelled, good, trace)
-    assert np.array_equal(other_cost, cost) and np.array_equal(other_sup[0], sup[0])
+    assert np.array_equal(other_cost, cost)
     for e in range(len(LEVELS)):
+        cols = np.arange(e * m, (e + 1) * m)
+        assert not np.array_equal(relevelled.theta_rows(cols), batch.theta_rows(cols))
+        assert not np.array_equal(other_sup[:, cols], sup[:, cols])
+    # The relabelled batch scored one level block at a time, as one-level
+    # batches of the same arrays at the new level.
+    for e, level in enumerate(relevelled.levels):
         cols = slice(e * m, (e + 1) * m)
-        assert not np.array_equal(other_sup[1, cols], sup[1, cols])
+        alone = replace(batch, r_values=batch.r_values[:, cols], tau=batch.tau[cols],
+                        pre=batch.pre[cols], post=batch.post[cols], counts=batch.counts[cols],
+                        jump_step=batch.jump_step[cols], theta_end=batch.theta_end[cols],
+                        levels=(level,))
+        want_cost, want_sup = batch_skorohod_upper(det, alone, good[cols], trace)
+        assert np.array_equal(other_cost[cols], want_cost)
+        assert np.array_equal(other_sup[:, cols], want_sup)
 
 
 @pytest.mark.parametrize("driver", [lln_experiment, clt_experiment])

@@ -1,5 +1,6 @@
 """Noisy simulation: reproducibility, hitting times, good-set classification."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -46,6 +47,11 @@ def one_replica(spec, noise, horizon, dt, seed):
     and its impulse times."""
     batch = simulate_batch(spec, noise, horizon=horizon, dt=dt, master_seed=seed, n_replicas=1)
     return batch.path(0), batch.impulse_times(0)
+
+
+def theta_values(batch):
+    """Every column's angle, laid out as `r_values`: (n_steps + 1, columns)."""
+    return batch.theta_rows(np.arange(len(batch))).T
 
 
 def collect_tau(spec, noise, horizon, dt, seed, n_replicas, column=0, chunk=2500):
@@ -106,9 +112,10 @@ class TestReproducibility:
         b = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
                            master_seed=5, n_replicas=8, store_increments=True)
         np.testing.assert_array_equal(a.r_values, b.r_values)
-        np.testing.assert_array_equal(a.theta_values, b.theta_values)
+        np.testing.assert_array_equal(theta_values(a), theta_values(b))
         np.testing.assert_array_equal(a.tau, b.tau, strict=True)
         np.testing.assert_array_equal(a.w_increments, b.w_increments)
+        np.testing.assert_array_equal(a.b_increments, b.b_increments)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 10**6),
@@ -123,7 +130,8 @@ class TestReproducibility:
             part = simulate_batch(halving_spec, noise, n_replicas=hi - lo,
                                   replica_offset=offset + lo, **run)
             np.testing.assert_array_equal(whole.r_values[:, lo:hi], part.r_values)
-            np.testing.assert_array_equal(whole.theta_values[:, lo:hi], part.theta_values)
+            np.testing.assert_array_equal(whole.theta_rows(np.arange(lo, hi)),
+                                          part.theta_rows(np.arange(hi - lo)))
             assert np.array_equal(whole.tau[lo:hi], part.tau, equal_nan=True)
 
     def test_n_max_moves_nothing_before_the_first_impulse(self, halving_spec, noise):
@@ -136,29 +144,32 @@ class TestReproducibility:
         b = simulate_batch(halving_spec, noise, n_max=35, **run)
         assert a.tau.shape[1] == 30
         np.testing.assert_array_equal(a.w_increments, b.w_increments, strict=True)
+        np.testing.assert_array_equal(a.b_increments, b.b_increments, strict=True)
         for name in ("tau", "pre", "post"):
             np.testing.assert_array_equal(getattr(a, name)[:, 0], getattr(b, name)[:, 0],
                                           strict=True)
         # Rows 0..j, where the step (t_j, t_j+1] holds the first impulse.
         before = np.arange(a.grid.times.shape[0])[:, None] < np.searchsorted(a.grid.times,
                                                                              a.tau[:, 0])
-        for name in ("r_values", "theta_values"):
-            np.testing.assert_array_equal(getattr(a, name)[before], getattr(b, name)[before])
-        assert not np.array_equal(a.theta_values, b.theta_values)
+        np.testing.assert_array_equal(a.r_values[before], b.r_values[before])
+        np.testing.assert_array_equal(theta_values(a)[before], theta_values(b)[before])
+        assert not np.array_equal(theta_values(a), theta_values(b))
 
     def test_batch_is_pinned(self, halving_spec):
         # Seeded outputs are a contract: this digest of every array of one
         # four-level batch moves only with a declared change of seeded numbers.
+        # The angle enters as the (n_steps + 1, columns) array it once was.
         levels = tuple(NoiseParams(epsilon=e, p=2.0) for e in (0.0, 0.05, 0.3, 0.9))
         batch = simulate_batch(halving_spec, levels, horizon=4.0, dt=ALPHA / 400,
                                master_seed=11, n_replicas=40, replica_offset=3,
                                store_increments=True)
         digest = hashlib.sha256()
         for name in (*BATCH_FIELDS, "w_increments"):
-            digest.update(getattr(batch, name).tobytes())
+            digest.update(batch_field(batch, name).tobytes())
         assert digest.hexdigest() == _PINNED_BATCH
 
     def test_stored_increments_are_the_records(self, halving_spec, noise):
+        # Both records, radial (stored on request) and angular (always).
         replicas, offset = 70, 3
         assert replicas > 2 * stochastic._NOISE_BLOCK  # the last noise block is partial
         batch = simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
@@ -168,6 +179,8 @@ class TestReproducibility:
             record = BrownianRecord.generate(batch.grid, replica_seed_sequence(6, offset + i),
                                              batch.tau.shape[1])
             np.testing.assert_array_equal(batch.w_increments[:, i], record.w_increments,
+                                          strict=True)
+            np.testing.assert_array_equal(batch.b_increments[:, i], record.b_increments,
                                           strict=True)
 
     def test_replica_streams_differ(self):
@@ -231,10 +244,14 @@ SYSTEMS = {"wedge": (ALPHA, 4.0, ALPHA / 400, None),
 BATCH_FIELDS = ("r_values", "theta_values", "tau", "pre", "post", "counts")
 
 
+def batch_field(batch, name):
+    return theta_values(batch) if name == "theta_values" else getattr(batch, name)
+
+
 def level_block(batch, e, m):
     """Column block of level e in a batch of m replicas per level."""
     cols = slice(e * m, (e + 1) * m)
-    return {"r_values": batch.r_values[:, cols], "theta_values": batch.theta_values[:, cols],
+    return {"r_values": batch.r_values[:, cols], "theta_values": theta_values(batch)[:, cols],
             "tau": batch.tau[cols], "pre": batch.pre[cols], "post": batch.post[cols],
             "counts": batch.counts[cols]}
 
@@ -296,7 +313,8 @@ class TestNoiseLevels:
             np.testing.assert_array_equal(joint.w_increments, single.w_increments)
             block = level_block(joint, e, 3)
             for name in BATCH_FIELDS:
-                assert np.array_equal(block[name], getattr(single, name), equal_nan=True), name
+                assert np.array_equal(block[name], batch_field(single, name),
+                                      equal_nan=True), name
 
     @pytest.mark.parametrize("system, eps", [("wedge", (0.0, 0.2, 0.5)),
                                              ("narrow", (0.05, 0.9))])
@@ -315,8 +333,43 @@ class TestNoiseLevels:
                 r, theta, taus = scalar_replica(spec, level, batch.grid, record)
                 col = e * 3 + i
                 np.testing.assert_array_equal(batch.r_values[:, col], r)
-                np.testing.assert_array_equal(batch.theta_values[:, col], theta)
+                np.testing.assert_array_equal(batch.theta_rows([col])[0], theta)
                 np.testing.assert_array_equal(batch.impulse_times(col), taus)
+
+    @pytest.mark.parametrize("offset, count", [(0, 2), (2, 1)])
+    def test_angle_rows_equal_a_scalar_step_loop_across_chunks(self, offset, count):
+        """The rebuilt angle of any columns, in any order, is the scalar
+        loop's, in chunks on either side of a boundary, each of which holds
+        a step with two impulses."""
+        _, horizon, dt, n_max = SYSTEMS["narrow"]
+        levels = (NoiseParams(epsilon=0.05, p=1.05), NoiseParams(epsilon=0.9, p=1.05))
+        batch = simulate_batch(NARROW, levels, horizon, dt, 0, count, replica_offset=offset,
+                               n_max=n_max)
+        columns = np.arange(len(batch))[::-1]
+        rows = batch.theta_rows(columns)
+        assert rows.shape == (len(batch), batch.grid.times.shape[0])
+        for row, col in zip(rows, columns):
+            e, i = divmod(int(col), count)
+            record = BrownianRecord.generate(batch.grid,
+                                             replica_seed_sequence(0, offset + i), n_max)
+            _, theta, _ = scalar_replica(NARROW, levels[e], batch.grid, record)
+            np.testing.assert_array_equal(row, theta, strict=True)
+        shared = batch.jump_step[:, 1:] == batch.jump_step[:, :-1]
+        assert (shared & (np.arange(1, n_max) < batch.counts[:, None])).any()
+        assert np.isnan(batch.theta_end[:, :-1][shared]).all()
+
+    def test_a_batch_stores_no_angle_path(self, halving_spec):
+        """Its arrays add up to the radius path, the (n_steps, M) increment
+        records and the per-impulse rows: no (n_steps + 1, E*M) angle path."""
+        levels = tuple(NoiseParams(epsilon=e, p=2.0) for e in (0.05, 0.1, 0.2, 0.3))
+        batch = simulate_batch(halving_spec, levels, horizon=4.0, dt=ALPHA / 400,
+                               master_seed=2, n_replicas=40, store_increments=True)
+        stored = [getattr(batch, f.name) for f in dataclasses.fields(batch)]
+        total = sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
+        n, m = batch.b_increments.shape
+        records = 2 * n * m * 8
+        per_impulse = 5 * batch.tau.nbytes + batch.counts.nbytes
+        assert total <= batch.r_values.nbytes + records + per_impulse
 
     def test_narrow_wedge_crosses_twice_in_one_step(self):
         _, horizon, dt, n_max = SYSTEMS["narrow"]
@@ -351,8 +404,9 @@ class TestPathStructure:
                                master_seed=3, n_replicas=500)
         # strictly below alpha on the stored grid; small negative transients
         # near 0 come from the additive angular noise and stay noise-sized
-        assert float(batch.theta_values.max()) < ALPHA
-        assert float(batch.theta_values.min()) > -0.05 * ALPHA
+        theta = batch.theta_rows(np.arange(len(batch)))
+        assert float(theta.max()) < ALPHA
+        assert float(theta.min()) > -0.05 * ALPHA
 
     def test_runaway_cap(self, halving_spec, noise):
         with pytest.raises(ParameterError, match="cap of 1"):
