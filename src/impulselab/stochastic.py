@@ -9,7 +9,10 @@ fresh Brownian increment, so no increment is ever reused across an impulse.
 
 Per-replica randomness comes from counter-based generators derived from a
 master seed and the replica index, which makes every result reproducible and
-independent of chunking or scheduling order. The expansion x + epsilon*Z is
+independent of chunking or scheduling order. Blocks of replicas draw on up
+to as many threads as the process may use CPUs, so a draw source must be safe
+to call concurrently for disjoint replica ranges and fill only their rows; the
+results do not depend on the thread count. The expansion x + epsilon*Z is
 pathwise, so one record drives a replica at every noise level: a batch can
 hold several levels, drawn once and advanced together in one step loop. The
 radial draws are scaled into rows 1..n of the radius array of every level
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +135,9 @@ def _draw_block(seqs, scale: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 
 _NOISE_BLOCK = 32  # replicas drawn into one reused (2, block, n_steps) buffer
+# Threads that draw noise blocks at once; capped because each owns a buffer.
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, 8)
 _THETA_WINDOW = 16  # angle rows the step loop fills ahead from the increments
 
 
@@ -141,12 +149,17 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int
     at most `_NOISE_BLOCK` replicas get their noise from ``draw(start, stop,
     w, b, aux_w, aux_b)``, which fills row k for replica ``start + k``:
     step-scaled increments in `w` and `b`, unit draws in the n_max aux rows.
-    Each level scales the reused `w` block into rows j+1 of its radius
-    columns, and `b` is stored once per replica. The angle lives in a window
-    of `_THETA_WINDOW` rows, scaled ahead from the stored `b`; each step then
-    adds the drift part ``r + b(r)*h`` and ``theta + h`` to the row already
-    there, and only the columns whose proposed angle reaches alpha go through
-    the impulse loop.
+    The blocks are dealt round-robin to up to `_WORKERS` shares: share 0 runs
+    on the calling thread and each other share on a thread of its own, all
+    joined before the step loop. So `draw` must be safe to call concurrently
+    for disjoint ``[start, stop)`` ranges and fill only those rows. A share
+    that raises stops; once every share has stopped, the exception of the
+    lowest share that raised is raised again. Each level scales a share's
+    reused `w` block into rows j+1 of its radius columns, and `b` is stored
+    once per replica. The angle lives in a window of `_THETA_WINDOW` rows,
+    scaled ahead from the stored `b`; each step then adds the drift part
+    ``r + b(r)*h`` and ``theta + h`` to the row already there, and only the
+    columns whose proposed angle reaches alpha go through the impulse loop.
     """
     times, steps = grid.times, grid.steps
     n, c = steps.shape[0], len(levels) * m
@@ -156,17 +169,35 @@ def _advance_batch(spec: SystemSpec, levels: tuple, grid: SimulationGrid, m: int
     b_stored = np.empty((n, m))
     aux_w, aux_b = np.empty((2, m, n_max))
     w_stored = np.empty((n, m)) if store_increments else None
-    blocks = np.empty((2, _NOISE_BLOCK, n))
-    for start in range(0, m, _NOISE_BLOCK):
-        stop = min(start + _NOISE_BLOCK, m)
-        w, b = blocks[:, : stop - start]
-        draw(start, stop, w, b, aux_w[start:stop], aux_b[start:stop])
-        for e in range(len(levels)):
-            np.multiply(w.T, eps[e], out=r_path[1:, e * m + start: e * m + stop])
-        b_stored[:, start:stop] = b.T
-        if w_stored is not None:
-            w_stored[:, start:stop] = w.T
-    del blocks, w, b
+    starts = range(0, m, _NOISE_BLOCK)
+    workers = min(_WORKERS, len(starts))
+    buffers = np.empty((workers, 2, _NOISE_BLOCK, n))
+    failures = [None] * workers
+
+    def fill(share: int) -> None:
+        try:
+            for start in starts[share::workers]:
+                stop = min(start + _NOISE_BLOCK, m)
+                w, b = buffers[share, :, : stop - start]
+                draw(start, stop, w, b, aux_w[start:stop], aux_b[start:stop])
+                for e in range(len(levels)):
+                    np.multiply(w.T, eps[e], out=r_path[1:, e * m + start: e * m + stop])
+                b_stored[:, start:stop] = b.T
+                if w_stored is not None:
+                    w_stored[:, start:stop] = w.T
+        except BaseException as exc:  # re-raised below, once every share has stopped
+            failures[share] = exc
+
+    helpers = [threading.Thread(target=fill, args=(share,)) for share in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    fill(0)
+    for thread in helpers:
+        thread.join()
+    del buffers
+    for exc in failures:
+        if exc is not None:
+            raise exc
     eps_col, eps_ang_col = np.repeat(eps, m), np.repeat(eps_ang, m)
     alpha = grid.alpha
     drift, reset = spec.drift, spec.reset
@@ -330,15 +361,18 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     :meth:`BatchResult.theta_rows` rebuilds any column's angle;
     `store_increments` adds the (n_steps, n_replicas) radial increments.
     Results are a pure function of (spec, level, horizon, dt, master_seed,
-    replica index, n_max); chunk boundaries and the other levels do not
-    affect them. `n_max` caps a replica's impulses; by default it is ten
-    times the noiseless count. It is part of the seed convention: the angular
-    post-impulse draws follow `n_max` radial ones, so another `n_max` changes
-    a replica's path from the step of its first impulse on.
+    replica index, n_max); chunk boundaries, the other levels and the
+    number of threads that draw do not affect them. `n_max` caps a replica's
+    impulses; by default it is ten times the noiseless count. It is part of
+    the seed convention: the angular post-impulse draws follow `n_max` radial
+    ones, so another `n_max` changes a replica's path from the step of its
+    first impulse on. The seeds are checked before anything is drawn.
     """
     levels = (noise,) if isinstance(noise, NoiseParams) else tuple(noise)
     if not levels:
         raise ParameterError("need at least one noise level")
+    master_seed = _count(master_seed, "master_seed")
+    replica_offset = _count(replica_offset, "replica_offset")
     if _count(n_replicas, "n_replicas") < 1:
         raise ParameterError("need at least one replica", field="n_replicas")
     if dt > spec.alpha / 200.0:

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -102,6 +104,16 @@ class TestZeroNoiseDegeneracy:
             assert np.max(np.abs(times - expected)) <= ALPHA / 400
 
 
+def bits(value):
+    """`value` in a form whose equality is bitwise equality of its arrays,
+    also of the arrays inside a dataclass such as the grid."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(bits(getattr(value, field.name)) for field in dataclasses.fields(value))
+    return value
+
+
 _PINNED_BATCH = "0ea1038696ca24c42e3c4582eaaa68baaaa08cf2f789f796f3c34de41a907eec"
 
 
@@ -183,6 +195,54 @@ class TestReproducibility:
             np.testing.assert_array_equal(batch.b_increments[:, i], record.b_increments,
                                           strict=True)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("replicas", [
+        70,  # three blocks, the last one partial
+        5,  # below one block
+        96,  # three full blocks: an exact multiple of 3 * _NOISE_BLOCK
+    ])
+    def test_thread_count_changes_no_bits(self, halving_spec, monkeypatch, workers, replicas):
+        assert replicas == 96 or replicas % stochastic._NOISE_BLOCK
+        levels = (NoiseParams(epsilon=0.2, p=2.0), NoiseParams(epsilon=0.6, p=1.5))
+        run = dict(horizon=4.0, dt=ALPHA / 400, master_seed=8, n_replicas=replicas,
+                   replica_offset=2, store_increments=True)
+        want = simulate_batch(halving_spec, levels, **run)
+        monkeypatch.setattr(stochastic, "_WORKERS", workers)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over between bytecodes
+        try:
+            got = simulate_batch(halving_spec, levels, **run)
+        finally:
+            sys.setswitchinterval(switch)
+        for field in dataclasses.fields(stochastic.BatchResult):
+            assert bits(getattr(got, field.name)) == bits(getattr(want, field.name)), field.name
+
+    def test_a_failing_share_raises_once_every_share_has_stopped(self, halving_spec,
+                                                                 monkeypatch):
+        """Three blocks over two shares: share 0 draws blocks 0 and 2, share 1
+        block 1 on a helper thread, and the draw fails from block 1 on. The
+        failure of the lowest share comes out, with no thread left running;
+        an exception left uncaught in a thread would be a warning, which the
+        test settings make an error."""
+        monkeypatch.setattr(stochastic, "_WORKERS", 2)
+        grid = simulation_grid(ALPHA, 4.0, ALPHA / 400)
+        raised = {}
+
+        def source(start, stop, w, b, aux_w, aux_b):
+            if start >= stochastic._NOISE_BLOCK:
+                raised[start] = RuntimeError(f"no noise for replica {start}")
+                raise raised[start]
+            for block in (w, b, aux_w, aux_b):
+                block[:] = 0.0
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            stochastic._advance_batch(halving_spec, (NoiseParams(epsilon=0.2, p=2.0),), grid,
+                                      3 * stochastic._NOISE_BLOCK, 8, source, False)
+        assert sorted(raised) == [stochastic._NOISE_BLOCK, 2 * stochastic._NOISE_BLOCK]
+        assert info.value is raised[2 * stochastic._NOISE_BLOCK]
+        assert threading.active_count() == threads
+
     def test_replica_streams_differ(self):
         a = replica_seed_sequence(0, 0).generate_state(4)
         b = replica_seed_sequence(0, 1).generate_state(4)
@@ -207,6 +267,24 @@ class TestReproducibility:
             simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400,
                            master_seed=seed, n_replicas=1)
         assert info.value.field == "master_seed"
+
+    @pytest.mark.parametrize("seeds, field, shown", [
+        ({"master_seed": -1}, "master_seed", "-1"),
+        ({"replica_offset": -40}, "replica_offset", "-40"),
+        ({"replica_offset": 2.5}, "replica_offset", "2.5"),
+    ])
+    def test_batch_checks_its_seeds_before_it_allocates(self, halving_spec, noise, monkeypatch,
+                                                        seeds, field, shown):
+        def allocate(*args):
+            raise AssertionError("the batch allocated before it checked its seeds")
+
+        monkeypatch.setattr(stochastic, "_advance_batch", allocate)
+        run = {"master_seed": 0, "replica_offset": 0, **seeds}
+        with pytest.raises(ParameterError) as info:
+            simulate_batch(halving_spec, noise, horizon=4.0, dt=ALPHA / 400, n_replicas=70,
+                           **run)
+        assert info.value.field == field
+        assert str(info.value) == f"{field} must be a nonnegative integer, got {shown}"
 
     @pytest.mark.parametrize("field", ["n_replicas", "n_max"])
     def test_batch_refuses_counts_that_are_not_integers(self, halving_spec, noise, field):
