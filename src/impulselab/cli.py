@@ -130,9 +130,9 @@ def load_config(path: str | None, flags: dict | None = None) -> RunConfig:
     """Read, default-fill, and fully validate a config file.
 
     `path=None` yields the all-defaults configuration. `flags` maps config
-    key names to a subcommand's flag values, as `vars(args)` does; a value
-    that is not None replaces the file's before it is parsed, and names that
-    are not config keys are ignored.
+    key names to a subcommand's flag text, as `vars(args)` does; a value
+    that is not None replaces the file's before it is parsed (a number
+    counts as its `str`), and names that are not config keys are ignored.
     """
     flags = flags or {}
     parser = configparser.ConfigParser(interpolation=None)
@@ -153,7 +153,7 @@ def load_config(path: str | None, flags: dict | None = None) -> RunConfig:
 
     def raw(section: str, key: str) -> str:
         if flags.get(key) is not None:
-            return str(flags[key])
+            return str(flags[key]).strip()
         if parser.has_option(section, key):
             return parser.get(section, key).strip()
         return _DEFAULTS[(section, key)]
@@ -319,6 +319,13 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """One flag per config key. argparse passes its text unparsed, and
+    `load_config` parses and checks it as it does the file's value."""
+    for key in keys:
+        parser.add_argument(f"--{key}", help=f"replaces {_CONFIG_KEYS[key]}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impulselab",
@@ -331,32 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trajectory", parents=[common],
                        help="deterministic trajectory as cadlag CSV")
-    t.add_argument("--dt", type=float, default=None, help="step size, at most alpha/100")
-    t.add_argument("--horizon", type=float, default=None,
-                   help="final time T, strictly between N*alpha and (N+1)*alpha")
+    _add_config_flags(t, "dt", "horizon")
     t.add_argument("--out", default="-", help="output CSV path or - for stdout")
     t.set_defaults(func=_cmd_trajectory)
 
     s = sub.add_parser("simulate", parents=[common],
                        help="one noisy replica as cadlag CSV plus impulse sidecar")
-    s.add_argument("--epsilon", type=float, default=None, help="radial noise scale in [0, 1)")
-    s.add_argument("--p", type=float, default=None, help="angular noise exponent, > 1")
-    s.add_argument("--sigma", type=int, default=None, choices=(0, 1), help="angular noise switch")
-    s.add_argument("--dt", type=float, default=None, help="step size, at most alpha/200")
-    s.add_argument("--horizon", type=float, default=None,
-                   help="final time T, strictly between N*alpha and (N+1)*alpha")
-    s.add_argument("--seed", type=int, default=None, help="replica seed, >= 0")
+    _add_config_flags(s, "epsilon", "p", "sigma", "dt", "horizon", "seed")
     s.add_argument("--out", required=True,
                    help="output CSV path (the impulse sidecar replaces its extension)")
     s.set_defaults(func=_cmd_simulate)
 
     f = sub.add_parser("fluctuation", parents=[common],
                        help="first-order correction path as cadlag CSV")
-    f.add_argument("--dt", type=float, default=None, help="step size, at most alpha/200")
-    f.add_argument("--horizon", type=float, default=None,
-                   help="final time T, strictly between N*alpha and (N+1)*alpha")
-    f.add_argument("--seed", type=int, default=None,
-                   help="seed of the driving record; matches simulate --seed")
+    _add_config_flags(f, "dt", "horizon", "seed")
     f.add_argument("--out", default="-", help="output CSV path or - for stdout")
     f.set_defaults(func=_cmd_fluctuation)
 
@@ -381,9 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("experiment", parents=[common],
                        help="Monte Carlo distance moments across the epsilon grid")
-    e.add_argument("--mode", choices=_MODES, default=None,
-                   help="baseline distance to the deterministic path (lln) or "
-                        "to the first-order refinement (clt)")
+    _add_config_flags(e, "mode")
     e.add_argument("--out", required=True,
                    help="output CSV path (the JSON summary replaces its extension)")
     e.set_defaults(func=_cmd_experiment)

@@ -53,7 +53,11 @@ class ExperimentConfig:
     chunk_size: int = 250
 
     def __post_init__(self):
-        grid = tuple(float(e) for e in self.eps_grid)
+        grid = self.eps_grid
+        grid = None if isinstance(grid, str) or not np.iterable(grid) else tuple(grid)
+        if grid is None or not all(isinstance(e, numbers.Real) for e in grid):
+            raise ConfigError("epsilon grid must be a sequence of numbers", field="eps_grid")
+        grid = tuple(float(e) for e in grid)
         object.__setattr__(self, "eps_grid", grid)
         if len(grid) == 0:
             raise ConfigError("epsilon grid must not be empty", field="eps_grid")

@@ -368,7 +368,10 @@ def simulate_batch(spec: SystemSpec, noise: NoiseParams | tuple, horizon: float,
     ones, so another `n_max` changes a replica's path from the step of its
     first impulse on. The seeds are checked before anything is drawn.
     """
-    levels = (noise,) if isinstance(noise, NoiseParams) else tuple(noise)
+    levels = tuple(noise) if isinstance(noise, (tuple, list)) else (noise,)
+    if not all(isinstance(level, NoiseParams) for level in levels):
+        raise ParameterError(f"noise must be NoiseParams or a tuple of them, got {noise!r}",
+                             field="noise")
     if not levels:
         raise ParameterError("need at least one noise level")
     master_seed = _count(master_seed, "master_seed")
@@ -430,7 +433,8 @@ def good_set_probability_bound(horizon_index: int, alpha: float, epsilon: float,
     """
     if _count(horizon_index, "horizon_index") < 1:
         raise ParameterError("horizon index must be a positive integer", field="horizon_index")
-    if not (0.0 < epsilon < 1.0) or p <= 1.0:
-        raise ParameterError("need epsilon in (0,1) and p > 1")
+    p_ok = 1.0 < p < math.inf
+    if not (0.0 < epsilon < 1.0 and p_ok):
+        raise ParameterError("need epsilon in (0,1) and p > 1", field="epsilon" if p_ok else "p")
     t = float(horizon_index)
     return t * (t + 1.0) * fpt_tail_bound(FptParams(alpha=alpha, eps_p=epsilon ** p), delta)

@@ -173,13 +173,6 @@ def _value_and_slope(knots: np.ndarray, c: np.ndarray):
     return _piecewise(knots, c), _piecewise(knots, c[:-1] * np.array([[3.0], [2.0], [1.0]]))
 
 
-def _odd_pchip(xs: np.ndarray, ys: np.ndarray):
-    # Mirror the table through the origin so the interpolant is odd.
-    xs_full = np.concatenate([-xs[::-1], xs[1:]]) if xs[0] == 0 else np.concatenate([-xs[::-1], xs])
-    ys_full = np.concatenate([-ys[::-1], ys[1:]]) if xs[0] == 0 else np.concatenate([-ys[::-1], ys])
-    return _pchip(xs_full, ys_full)
-
-
 def table_drift(points) -> DriftModel:
     """Monotone-cubic interpolation of tabulated (r, b(r)) pairs.
 
@@ -221,7 +214,8 @@ def table_reset(points) -> ResetModel:
         ys = np.concatenate([[0.0], ys])
     if np.any(np.diff(ys) <= 0):
         raise ParameterError("reset table values must strictly increase")
-    knots, c = _odd_pchip(xs, ys)
+    # Mirror the table, which starts at the origin, so the interpolant is odd.
+    knots, c = _pchip(np.concatenate([-xs[::-1], xs[1:]]), np.concatenate([-ys[::-1], ys[1:]]))
     value_at, slope_at = _value_and_slope(knots, c)
     hi = float(xs[-1])
     hi_val = float(ys[-1])
@@ -308,7 +302,9 @@ class SimulationGrid:
 def simulation_grid(alpha: float, horizon: float, dt: float) -> SimulationGrid:
     """Segment-aligned grid: uniform steps of dt, shortened to land on k*alpha."""
     if not dt > 0:
-        raise ParameterError("step size must be positive")
+        raise ParameterError("step size must be positive", field="dt")
+    if dt == math.inf:
+        raise ParameterError("step size must be finite", field="dt")
     q = horizon / alpha
     n = int(math.floor(q + 1e-12)) if math.isfinite(q) else 0
     if n < 1 or not (1e-9 < q - n < 1 - 1e-9):

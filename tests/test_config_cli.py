@@ -1,5 +1,6 @@
 """Config loading, stable emission, and command line round trips."""
 
+import argparse
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from impulselab import (
     write_path_csv,
 )
 from impulselab.fluctuation import fluctuation_path, fluctuation_trace
-from impulselab.cli import _write_impulses_csv, build_parser, main
+from impulselab.cli import _CONFIG_KEYS, _write_impulses_csv, build_parser, main
 
 
 class TestLoadConfig:
@@ -532,3 +533,69 @@ class TestCliCommands:
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["trajectory", "--horizon", "4.0", "--out", str(missing_dir)]) == 4
+
+
+def _subcommands() -> dict:
+    """The parser of each subcommand, by name."""
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _config_key_flags():
+    """(subcommand, key, action) for each flag of a subcommand that reads a
+    config file whose destination is a config key, read from the parser."""
+    for command, parser in _subcommands().items():
+        actions = {action.dest: action for action in parser._actions}
+        if "config" in actions:
+            yield from ((command, key, actions[key]) for key in actions if key in _CONFIG_KEYS)
+
+
+# For each key a flag names: an unparsable value (none for the text key mode)
+# and an out-of-range one. The file strips a value's spaces, so the flag must
+# too for the messages, which quote the text, to agree.
+_BAD_VALUES = {
+    "epsilon": ("abc", "1.5"),
+    "p": ("abc", "0.9"),
+    "sigma": ("0.5", "2"),
+    "dt": (" abc ", "0"),
+    "horizon": ("abc", "-1"),
+    "seed": ("1.5", "-1"),
+    "mode": ("foo",),
+}
+
+
+class TestFlagFileParity:
+    """A flag is the config key it names: one parser and one check for both."""
+
+    @pytest.mark.parametrize("command, key",
+                             [(command, key) for command, key, _ in _config_key_flags()])
+    def test_a_bad_flag_is_refused_as_the_file_line_is(self, tmp_path, capsys, command, key):
+        section = _CONFIG_KEYS[key].split(".")[0]
+        for n, value in enumerate(_BAD_VALUES[key]):
+            errors = []
+            for via in ("flag", "file"):
+                out_dir = tmp_path / f"{n}-{via}"
+                out_dir.mkdir()
+                if via == "flag":
+                    argv = [command, f"--{key}={value}"]
+                else:
+                    cfg = tmp_path / f"{n}.ini"
+                    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+                    argv = [command, "--config", str(cfg)]
+                assert main(argv + ["--out", str(out_dir / "out.csv")]) == 2, (via, value)
+                errors.append(capsys.readouterr().err)
+                assert not any(out_dir.iterdir()), (via, value)
+            assert errors[0] == errors[1], value
+            assert errors[0].startswith(f"config error: {_CONFIG_KEYS[key]}: "), value
+
+    def test_config_key_flags_carry_no_type_or_choices(self):
+        flags = list(_config_key_flags())
+        assert {key for _, key, _ in flags} == set(_BAD_VALUES)
+        for command, key, action in flags:
+            assert (action.type, action.choices) == (None, None), (command, key)
+            assert action.help == f"replaces {_CONFIG_KEYS[key]}", (command, key)
+
+    def test_every_subcommand_help_exits_cleanly(self, capsys):
+        for command in _subcommands():
+            assert main([command, "--help"]) == 0, command
+            assert capsys.readouterr().out.startswith(f"usage: impulselab {command}")

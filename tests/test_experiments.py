@@ -73,6 +73,20 @@ class TestExperimentConfig:
             small_config(**{name: value})
         assert info.value.field == field
 
+    @pytest.mark.parametrize("grid", [0.1, "0.1", "123", np.array(0.1), [0.1, "0.2"],
+                                      (0.1, None)],
+                             ids=["float", "string", "digits", "0-d array", "string entry",
+                                  "None entry"])
+    def test_grid_must_be_a_sequence_of_numbers(self, grid):
+        with pytest.raises(ConfigError, match="sequence of numbers") as info:
+            small_config(eps_grid=grid)
+        assert info.value.field == "eps_grid"
+
+    @pytest.mark.parametrize("grid", [[0.05, 0.1], (0.05, 0.1), np.array([0.05, 0.1])],
+                             ids=["list", "tuple", "array"])
+    def test_grid_may_be_any_sequence_of_numbers(self, grid):
+        assert small_config(eps_grid=grid).eps_grid == (0.05, 0.1)
+
     def test_numpy_integers_are_counts(self, halving_spec):
         config = small_config(replicas=np.int64(2), chunk_size=np.int32(3),
                               master_seed=np.uint8(2))

@@ -461,6 +461,18 @@ class TestNoiseLevels:
         with pytest.raises(ParameterError):
             simulate_batch(halving_spec, (), 4.0, ALPHA / 400, 0, 2)
 
+    @pytest.mark.parametrize("levels", [(0.1, 0.2), 0.1, [NoiseParams(epsilon=0.1, p=2.0), 0.2]],
+                             ids=["floats", "float", "mixed"])
+    def test_levels_must_be_noise_params(self, halving_spec, monkeypatch, levels):
+        def build(*args):
+            raise AssertionError("the batch built its grid before it checked its levels")
+
+        monkeypatch.setattr(stochastic, "simulation_grid", build)
+        monkeypatch.setattr(stochastic, "_advance_batch", build)
+        with pytest.raises(ParameterError, match="noise must be NoiseParams") as info:
+            simulate_batch(halving_spec, levels, 4.0, ALPHA / 400, 0, 2)
+        assert info.value.field == "noise"
+
 
 class TestPathStructure:
     def test_radius_resets_only_at_impulses(self, halving_spec, noise):
@@ -559,6 +571,12 @@ class TestGoodSetBound:
             good_set_probability_bound(0, ALPHA, 0.2, 2.0, 0.25)
         with pytest.raises(ParameterError, match="epsilon in"):
             good_set_probability_bound(2, 1.0, 1.5, 2.0, 0.1)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0])
+    def test_p_out_of_range_is_reported_as_p(self, p):
+        with pytest.raises(ParameterError, match="p > 1") as info:
+            good_set_probability_bound(2, ALPHA, 0.1, p, 0.01)
+        assert info.value.field == "p"
 
     def test_horizon_index_is_an_integer(self):
         for index in (2.5, 2.0, "2"):

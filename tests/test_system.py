@@ -142,6 +142,14 @@ class TestDeterministicTrajectory:
         with pytest.raises(ParameterError, match=message):
             simulation_grid(1.0, horizon, dt)
 
+    @pytest.mark.parametrize("dt, message", [(np.nan, "step size must be positive"),
+                                             (np.inf, "step size must be finite")],
+                             ids=["nan", "inf"])
+    def test_grid_names_a_step_that_is_not_finite(self, dt, message):
+        with pytest.raises(ParameterError, match=message) as info:
+            simulation_grid(np.pi / 2, 4.0, dt)
+        assert info.value.field == "dt"
+
     def test_grid_too_fine_for_an_array_is_refused_before_allocating(self):
         tracemalloc.start()
         try:
