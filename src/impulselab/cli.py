@@ -2,11 +2,12 @@
 
 Config files use a flat INI-style schema with sections [model], [noise],
 [numerics], [experiment]; every key has a default in `_DEFAULTS`, so an empty
-file (or no --config at all) runs the stock example system. A subcommand's
-flags (--epsilon, --p, --sigma, --dt, --horizon, --seed, --mode) replace the
-file's value of the key they name before anything is parsed or validated, so a
-valid flag overrides an invalid file value. Unknown sections or keys are
-rejected, and every constraint violation is reported as section.key: message.
+file (or no --config at all) runs the stock example system; unknown sections
+or keys are rejected. A config-key flag (--epsilon, --p, --sigma, --dt,
+--horizon, --seed, --mode) replaces its key's file value before anything is
+parsed, so a valid flag overrides an invalid file value. `_parse_value` parses
+every number, a file's, a key flag's, or `fpt`'s and `skorohod`'s (--alpha,
+--eps-p, --grid, --resolution); an error names its section.key or --flag.
 
 Each artefact has one writer. `trajectory`, `simulate` and `fluctuation` write
 a path CSV (`simulate` adds a `.impulses.csv` sidecar), `fpt` a t, pdf, cdf
@@ -83,14 +84,15 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {', '.join(_MODES)}", field="mode")
 
 
-def _parse_value(section: str, key: str, raw: str, kind):
+def _parse_value(name: str, raw: str, kind):
+    """The one text-to-number parser; its ConfigError names the input."""
     try:
         return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"{name}: cannot parse {raw!r}") from exc
 
 
-def _parse_table(section: str, key: str, raw: str):
+def _parse_table(name: str, raw: str):
     points = []
     for item in raw.split(","):
         item = item.strip()
@@ -98,11 +100,10 @@ def _parse_table(section: str, key: str, raw: str):
             continue
         parts = item.split(":")
         if len(parts) != 2:
-            raise ConfigError(f"{section}.{key}: expected comma-separated x:value pairs")
-        points.append((_parse_value(section, key, parts[0], float),
-                       _parse_value(section, key, parts[1], float)))
+            raise ConfigError(f"{name}: expected comma-separated x:value pairs")
+        points.append((_parse_value(name, parts[0], float), _parse_value(name, parts[1], float)))
     if len(points) < 4:
-        raise ConfigError(f"{section}.{key}: table needs at least 4 points")
+        raise ConfigError(f"{name}: table needs at least 4 points")
     return points
 
 
@@ -113,17 +114,17 @@ _RESETS = {"linear": linear_reset, "saturating": saturating_reset, "custom-table
 def _build_model(part: str, families: dict, kind: str, params: str):
     """The `model.<part>` family `kind` built from its params; its range
     errors are reported against `model.<part>.params`."""
-    key = f"{part}.params"
+    name = f"model.{part}.params"
     if kind not in families:
         raise ConfigError(f"model.{part}.kind: must be one of {', '.join(families)}")
     if kind == "custom-table":
-        value = _parse_table("model", key, params)
+        value = _parse_table(name, params)
     else:
-        value = _parse_value("model", key, params, float)
+        value = _parse_value(name, params, float)
     try:
         return families[kind](value)
     except ParameterError as exc:
-        raise ConfigError(f"model.{key}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def load_config(path: str | None, flags: dict | None = None) -> RunConfig:
@@ -151,40 +152,35 @@ def load_config(path: str | None, flags: dict | None = None) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
 
-    def raw(section: str, key: str) -> str:
+    def raw(name: str) -> str:
+        section, key = name.split(".", 1)
         if flags.get(key) is not None:
             return str(flags[key]).strip()
         if parser.has_option(section, key):
             return parser.get(section, key).strip()
         return _DEFAULTS[(section, key)]
 
-    def floatval(section: str, key: str) -> float:
-        return _parse_value(section, key, raw(section, key), float)
+    def value(name: str, kind=float):
+        return _parse_value(name, raw(name), kind)
 
-    def intval(section: str, key: str) -> int:
-        return _parse_value(section, key, raw(section, key), int)
-
-    p = floatval("noise", "p")
-    dt = floatval("numerics", "dt")
-    horizon = floatval("numerics", "horizon")
-    seed = intval("numerics", "seed")
-    eps_grid = tuple(_parse_value("experiment", "eps_grid", item.strip(), float)
-                     for item in raw("experiment", "eps_grid").split(",") if item.strip())
+    p = value("noise.p")
+    dt = value("numerics.dt")
+    horizon = value("numerics.horizon")
+    seed = value("numerics.seed", int)
+    eps_grid = tuple(_parse_value("experiment.eps_grid", item.strip(), float)
+                     for item in raw("experiment.eps_grid").split(",") if item.strip())
     try:
-        drift = _build_model("drift", _DRIFTS, raw("model", "drift.kind"),
-                             raw("model", "drift.params"))
-        reset = _build_model("reset", _RESETS, raw("model", "reset.kind"),
-                             raw("model", "reset.params"))
-        system = SystemSpec.from_models(drift, reset, alpha=floatval("model", "alpha"),
-                                        r0=floatval("model", "r0"))
+        drift = _build_model("drift", _DRIFTS, raw("model.drift.kind"), raw("model.drift.params"))
+        reset = _build_model("reset", _RESETS, raw("model.reset.kind"), raw("model.reset.params"))
+        system = SystemSpec.from_models(drift, reset, alpha=value("model.alpha"),
+                                        r0=value("model.r0"))
         # NoiseParams before ExperimentConfig, so that a bad p is reported as noise.p.
-        noise = NoiseParams(epsilon=floatval("noise", "epsilon"), p=p,
-                            sigma=intval("noise", "sigma"))
-        experiment = ExperimentConfig(eps_grid=eps_grid, replicas=intval("experiment", "replicas"),
-                                      beta=intval("experiment", "beta"),
-                                      nu=floatval("experiment", "nu"), p=p, dt=dt,
-                                      horizon=horizon, master_seed=seed)
-        return RunConfig(system=system, noise=noise, mode=raw("experiment", "mode"),
+        noise = NoiseParams(epsilon=value("noise.epsilon"), p=p, sigma=value("noise.sigma", int))
+        experiment = ExperimentConfig(
+            eps_grid=eps_grid, replicas=value("experiment.replicas", int),
+            beta=value("experiment.beta", int), nu=value("experiment.nu"), p=p, dt=dt,
+            horizon=horizon, master_seed=seed)
+        return RunConfig(system=system, noise=noise, mode=raw("experiment.mode"),
                          experiment=experiment)
     except ImpulseLabError as exc:
         # A value that fails validation is reported against the config key of
@@ -264,20 +260,21 @@ def _cmd_fluctuation(args) -> int:
 
 
 def _cmd_fpt(args) -> int:
+    alpha = _parse_value("--alpha", args.alpha, float)
+    eps_p = _parse_value("--eps-p", args.eps_p, float)
     try:
-        params = FptParams(alpha=args.alpha, eps_p=args.eps_p)
+        params = FptParams(alpha=alpha, eps_p=eps_p)
     except ParameterError as exc:
         # Named by flag: `fpt` reads no config file, so model.alpha is not its key.
         raise ConfigError(f"--{exc.field.replace('_', '-')}: {exc}") from exc
     parts = args.grid.split(":")
     if len(parts) != 3:
         raise ConfigError("--grid expects t0:t1:n")
-    try:
-        t0, t1, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError("--grid expects numeric t0:t1:n") from exc
+    t0, t1, n = (_parse_value("--grid", v, kind) for v, kind in zip(parts, (float, float, int)))
     if n < 2 or not -math.inf < t0 < t1 < math.inf:
         raise ConfigError("--grid needs finite t0 < t1 and n >= 2")
+    if n >= np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"--grid: n={n} gives more points than an array can hold")
     times = np.linspace(t0, t1, n)
     pdf = fpt_density(params, times)
     cdf = fpt_cdf(params, times)
@@ -289,12 +286,13 @@ def _cmd_fpt(args) -> int:
 
 
 def _cmd_skorohod(args) -> int:
+    resolution = _parse_value("--resolution", args.resolution, int)
     x1 = read_path_csv(args.path1)
     x2 = read_path_csv(args.path2)
     payload = {"uniform_distance": uniform_distance(x1, x2)}
     if args.oracle:
         try:
-            payload["oracle_upper"] = skorohod_oracle(x1, x2, resolution=args.resolution)
+            payload["oracle_upper"] = skorohod_oracle(x1, x2, resolution=resolution)
         except ParameterError as exc:
             raise ConfigError(f"--resolution: {exc}") from exc
     _write_json(payload, args.out)
@@ -356,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=_cmd_fluctuation)
 
     q = sub.add_parser("fpt", help="first-passage density and CDF on a time grid")
-    q.add_argument("--alpha", type=float, required=True, help="mean level, > 0")
-    q.add_argument("--eps-p", dest="eps_p", type=float, required=True,
+    q.add_argument("--alpha", required=True, help="mean level, > 0")
+    q.add_argument("--eps-p", dest="eps_p", required=True,
                    help="angular noise scale epsilon**p, in (0, 1)")
     q.add_argument("--grid", required=True,
                    help="evaluation grid --grid=t0:t1:n, n >= 2 (the = admits t0 < 0)")
@@ -369,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--path2", required=True, help="second path CSV")
     k.add_argument("--oracle", action="store_true",
                    help="also search distortions exhaustively (at most 4 jumps)")
-    k.add_argument("--resolution", type=int, default=16,
+    k.add_argument("--resolution", default="16",
                    help="oracle knot resolution, >= 8, rounded down to a power of 2")
     k.add_argument("--out", default="-", help="output JSON path or - for stdout")
     k.set_defaults(func=_cmd_skorohod)

@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon values must be distinct", field="eps_grid")
         if not isinstance(self.replicas, numbers.Integral) or self.replicas < 1:
             raise ConfigError("replica count must be a positive integer", field="replicas")
+        if 2 * len(grid) * int(self.replicas) >= np.iinfo(np.intp).max // 8:
+            raise ConfigError("replica count exceeds what an array can hold", field="replicas")
         if self.beta not in (1, 2):
             raise ConfigError("moment order beta must be 1 or 2", field="beta")
         if not self.p < math.inf:

@@ -308,6 +308,9 @@ class TestCliCommands:
         (["trajectory"], "[model]\nr0 = inf\n", "model.r0: initial radius must be finite"),
         (["experiment"], "[experiment]\neps_grid = 0.1, 0.1, 0.1\n",
          "experiment.eps_grid: epsilon values must be distinct"),
+        # Refused before the driver allocates its (2, 4, replicas) distances.
+        (["experiment"], f"[experiment]\nreplicas = {2 ** 62}\n",
+         "experiment.replicas: replica count exceeds what an array can hold"),
     ])
     def test_values_without_a_finite_range_are_config_errors(self, tmp_path, capsys, argv,
                                                              ini, key):
@@ -372,17 +375,20 @@ class TestCliCommands:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    GRID_ERRORS = {"0:inf:4": "needs finite t0 < t1 and n >= 2",
-                   "-inf:1:4": "needs finite t0 < t1 and n >= 2",
-                   "0:nan:4": "needs finite t0 < t1 and n >= 2",
-                   "0:1": "expects t0:t1:n", "0:x:3": "expects numeric t0:t1:n"}
+    GRID_ERRORS = {"0:inf:4": "--grid needs finite t0 < t1 and n >= 2",
+                   "-inf:1:4": "--grid needs finite t0 < t1 and n >= 2",
+                   "0:nan:4": "--grid needs finite t0 < t1 and n >= 2",
+                   "0:1": "--grid expects t0:t1:n", "0:x:3": "--grid: cannot parse 'x'",
+                   # Refused before np.linspace tries to size the grid.
+                   f"0:1:{2 ** 62}": f"--grid: n={2 ** 62} gives more points than an array "
+                                     "can hold"}
 
     @pytest.mark.parametrize("grid", list(GRID_ERRORS))
     def test_fpt_grid_must_be_finite(self, tmp_path, capsys, grid):
         out = tmp_path / "fpt.csv"
         assert main(["fpt", "--alpha", "1.0", "--eps-p", "0.2", f"--grid={grid}",
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: --grid {self.GRID_ERRORS[grid]}\n"
+        assert capsys.readouterr().err == f"config error: {self.GRID_ERRORS[grid]}\n"
         assert not out.exists()
 
     def test_malformed_path_csv_is_a_data_error(self, tmp_path, capsys):
@@ -594,6 +600,29 @@ class TestFlagFileParity:
         for command, key, action in flags:
             assert (action.type, action.choices) == (None, None), (command, key)
             assert action.help == f"replaces {_CONFIG_KEYS[key]}", (command, key)
+
+    def test_no_flag_carries_a_type_or_choices(self):
+        for command, parser in _subcommands().items():
+            for action in parser._actions:
+                assert (action.type, action.choices) == (None, None), (command, action.dest)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fpt", "--alpha", "abc", "--eps-p", "0.2", "--grid=0:1:3"], "--alpha"),
+        (["fpt", "--alpha", "1.0", "--eps-p", "abc", "--grid=0:1:3"], "--eps-p"),
+        (["fpt", "--alpha", "1.0", "--eps-p", "0.2", "--grid=abc:1:3"], "--grid"),
+        (["fpt", "--alpha", "1.0", "--eps-p", "0.2", "--grid=0:abc:3"], "--grid"),
+        (["fpt", "--alpha", "1.0", "--eps-p", "0.2", "--grid=0:1:abc"], "--grid"),
+        # Both paths are missing: the flag is parsed before either is read.
+        (["skorohod", "--path1", "no.csv", "--path2", "no.csv", "--resolution", "abc"],
+         "--resolution"),
+        (["skorohod", "--path1", "no.csv", "--path2", "no.csv", "--oracle",
+          "--resolution", "abc"], "--resolution"),
+    ])
+    def test_a_malformed_number_flag_is_a_config_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {flag}: cannot parse 'abc'\n"
+        assert not out.exists()
 
     def test_every_subcommand_help_exits_cleanly(self, capsys):
         for command in _subcommands():

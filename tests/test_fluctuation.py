@@ -1,11 +1,14 @@
 """First-order correction: closed forms, coupling checks, approximation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from impulselab import (
     BrownianRecord,
     DataError,
+    NoiseParams,
     ParameterError,
     ResetModel,
     SystemSpec,
@@ -14,10 +17,13 @@ from impulselab import (
     integrate_deterministic,
     linear_reset,
     replica_seed_sequence,
+    saturating_reset,
+    simulate_batch,
     simulation_grid,
     solution_to_path,
     table_drift,
     table_reset,
+    tanh_drift,
 )
 from impulselab.fluctuation import fluctuation_path, fluctuation_trace
 
@@ -183,3 +189,68 @@ class TestFirstOrderApproximation:
         other_det = integrate_deterministic(spec, other_grid)
         with pytest.raises(DataError, match="different grids"):
             first_order_on_grid(other_det, values, pre, 0.1)
+
+
+def variance_equation(b, db, h, dh, alpha, r0, horizon, dt):
+    """Var(Z(horizon)) from dV = (2 b'(x) V + 1) dt with V(0) = 0 and
+    V -> h'(x-)^2 V at each impulse k*alpha, where x solves dx = b(x) dt,
+    x -> h(x-): RK4 on (x, V), with steps that land on each impulse time."""
+    def rhs(x, v):
+        return b(x), 2.0 * db(x) * v + 1.0
+
+    x, v, start = r0, 0.0, 0.0
+    while start < horizon:
+        end = min(start + alpha, horizon)
+        n = math.ceil((end - start) / dt)
+        step = (end - start) / n
+        for _ in range(n):
+            k1 = rhs(x, v)
+            k2 = rhs(x + step / 2 * k1[0], v + step / 2 * k1[1])
+            k3 = rhs(x + step / 2 * k2[0], v + step / 2 * k2[1])
+            k4 = rhs(x + step * k3[0], v + step * k3[1])
+            x += step / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            v += step / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if end < horizon:
+            x, v = h(x), dh(x) ** 2 * v
+        start = end
+    return v
+
+
+# Each system as (package models, closed-form b, b', h, h' for the reference).
+VARIANCE_SYSTEMS = {
+    "acceptance": (constant_drift(0.2), linear_reset(0.5),
+                   lambda x: 0.2, lambda x: 0.0, lambda x: 0.5 * x, lambda x: 0.5),
+    "curved": (tanh_drift(0.5), saturating_reset(1.5),
+               lambda x: 0.5 * math.tanh(x), lambda x: 0.5 / math.cosh(x) ** 2,
+               lambda x: 1.5 * x / (1.0 + abs(x)), lambda x: 1.5 / (1.0 + abs(x)) ** 2),
+}
+VARIANCE_SEED, VARIANCE_REPLICAS, VARIANCE_CHUNK = 0, 4000, 1000
+
+
+@pytest.fixture(scope="module")
+def final_corrections():
+    """Z(T) of every replica on each system at T = 4, dt = 1e-3. Both wedges
+    are quarter turns, so one draw of radial increments drives both traces."""
+    alpha, horizon, dt = np.pi / 2, 4.0, 1e-3
+    grid = simulation_grid(alpha, horizon, dt)
+    specs = {name: SystemSpec.from_models(drift, reset, alpha=alpha, r0=1.0)
+             for name, (drift, reset, *_) in VARIANCE_SYSTEMS.items()}
+    dets = {name: integrate_deterministic(spec, grid) for name, spec in specs.items()}
+    finals = {name: [] for name in specs}
+    for offset in range(0, VARIANCE_REPLICAS, VARIANCE_CHUNK):
+        batch = simulate_batch(specs["acceptance"], NoiseParams(epsilon=0.1, p=2.0), horizon,
+                               dt, VARIANCE_SEED, VARIANCE_CHUNK, replica_offset=offset,
+                               store_increments=True)
+        for name, spec in specs.items():
+            finals[name].append(fluctuation_trace(spec, dets[name], batch.w_increments)[0][-1])
+        del batch
+    return {name: np.concatenate(z) for name, z in finals.items()}
+
+
+@pytest.mark.parametrize("name", list(VARIANCE_SYSTEMS))
+def test_final_variance_solves_the_variance_equation(final_corrections, name):
+    reference = variance_equation(*VARIANCE_SYSTEMS[name][2:], alpha=np.pi / 2, r0=1.0,
+                                  horizon=4.0, dt=1e-3)
+    z = final_corrections[name]
+    se = reference * math.sqrt(2.0 / (z.shape[0] - 1))
+    assert abs(np.var(z, ddof=1) - reference) < 3.0 * se, (np.var(z, ddof=1), reference, se)
